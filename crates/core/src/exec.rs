@@ -6,10 +6,11 @@
 //!
 //! * `fast` (Alg. 1) forwards to all relevant links at once, so a peer's
 //!   completion time is `1 + max(children)`;
-//! * `slow` (Alg. 2) visits one link at a time and waits for its state
-//!   response before the next, so completion is `Σ (1 + child)`;
-//! * `ripple` (Alg. 3) runs `slow` while the hop budget `r` lasts and
-//!   `fast` below it.
+//! * `ripple` (Alg. 3) visits one link at a time while the hop budget `r`
+//!   lasts, waiting for each state response before the next, so completion
+//!   is `Σ (1 + child)`; below the budget it runs `fast`;
+//! * `slow` (Alg. 2) is `ripple` with a budget no walk exhausts (`r ≥ Δ`),
+//!   so `Mode::Slow` runs `ripple(u32::MAX)`.
 //!
 //! Response messages (local states, local answers) are tallied in the
 //! message counters but add no hops, mirroring the Lemma accounting.
@@ -18,57 +19,54 @@
 //! always-on anomaly ([`QueryMetrics::duplicate_visits`]) instead of being
 //! audited only in debug builds.
 //!
-//! # Fault-aware delivery
+//! Every query forward passes through fault-aware delivery (the `deliver`
+//! submodule: drops, retransmissions, failover, replica recovery), and
+//! every remote answer deposit and prune witness through the commission
+//! fault plane and the online audit (the `audit` submodule).
 //!
-//! The executor is optionally driven by a [`FaultPlane`]: each query-forward
-//! transmission then passes through [`Executor::deliver`], which simulates
-//! message drops, per-hop timeouts with exponentially backed-off
-//! retransmissions, slow-peer delivery penalties, and — when a target stays
-//! unreachable — failover to an alternate live peer inside the same
-//! restriction area. When no candidate is left the area is *abandoned* and
-//! its domain volume is reported in [`QueryOutcome::coverage`]: execution
-//! degrades gracefully, never panics, and never pretends a partial answer is
-//! complete. With [`FaultPlane::none`] the delivery path short-circuits to
-//! exactly one `forward()` and one hop, making the fault-aware executor
-//! observationally identical to the historical fault-unaware one (enforced
-//! bit-for-bit by the equivalence tests).
-//!
-//! # Intra-query parallel execution
+//! # One engine, two fan-outs
 //!
 //! `fast` and `broadcast` are *defined* as contacting all relevant links in
-//! parallel — the simulated latency is already `1 + max(children)` — yet a
-//! recursive walk explores the fan-out tree on one core.
-//! [`Executor::run_parallel`] executes the independent restriction-area
-//! subtrees of the fast templates concurrently on a scoped work-stealing
-//! pool ([`ripple_net::pool`]) while keeping the run **bit-identical** to
-//! [`Executor::run`]:
+//! parallel, so the subtrees below those links are independent. Each
+//! template is written once, generic over a `FanOut` that decides where
+//! the subtrees run:
+//!
+//! * the **inline** fan-out ([`Executor::run`]) recurses on the caller's
+//!   thread, depth first, straight into the parent's [`BranchLedger`];
+//! * the **pool** fan-out ([`Executor::run_parallel`]) forks one task per
+//!   relevant link onto a scoped work-stealing pool ([`ripple_net::pool`]),
+//!   gives each task its own ledger, and merges the children back **in
+//!   link order** (a single relevant link recurses inline: forking buys
+//!   nothing).
+//!
+//! Both fan-outs produce **bit-identical** outcomes:
 //!
 //! * fault decisions are *addressable*: [`FaultSession`] keys every drop
-//!   verdict by `(query stream, sender, target, attempt)`, so a parallel
-//!   walk draws exactly the decisions a sequential walk would — no global
+//!   verdict by `(query stream, sender, target, attempt)`, so no global
 //!   draw order exists for scheduling to perturb;
-//! * every branch accumulates into its own [`BranchLedger`] and parents reduce
-//!   children in **link order**, which restores the sequential executor's
-//!   visit trace (pre-order), answer stream (post-order), abandonment order
-//!   and counters exactly;
-//! * duplicate-visit detection runs against a [`ShardedVisited`] set whose
-//!   total anomaly count (`visits − distinct peers`) is schedule-free.
+//! * link-order merging of the children's ledgers restores the depth-first
+//!   visit trace (pre-order), answer stream (post-order), abandonment
+//!   order, certificate tiles and counters exactly;
+//! * the pool's duplicate-visit detection runs against a [`ShardedVisited`]
+//!   set whose total anomaly count (`visits − distinct peers`) is
+//!   schedule-free.
 //!
-//! `slow` is semantically sequential (each link waits for the previous
-//! state response) and always runs on the caller; `ripple(r)` runs its slow
-//! phase sequentially and parallelises the fast phase below the hop budget.
+//! The slow phase of `ripple` never forks (each link waits for the previous
+//! state response), so it runs on the calling thread under either fan-out.
+
+mod audit;
+mod deliver;
 
 use crate::framework::{Coverage, Mode, QueryOutcome, RankQuery, RippleOverlay};
 use ripple_geom::{neumaier, KernelDispatch, Tuple};
 use ripple_net::hash::{fx_set_with_capacity, FxHashSet};
 use ripple_net::pool::{self, Pool};
 use ripple_net::{
-    scan, BranchLedger, CorruptionMode, CorruptionPlane, CorruptionSession, FaultPlane,
-    FaultSession, LocalView, PeerId, QuarantineSnapshot, QueryMetrics, ShardedVisited,
+    scan, BranchLedger, CorruptionPlane, CorruptionSession, FaultPlane, FaultSession, LocalView,
+    PeerId, QuarantineSnapshot, QueryMetrics, ShardedVisited,
 };
-use ripple_verify::{
-    audit_response, audit_witness, CertRegion, Certificate, PruneWitness, ResponseEnvelope,
-};
+use ripple_verify::{CertRegion, Certificate};
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// The local answer a failover adopter computes *on behalf of* a dead peer
@@ -111,8 +109,8 @@ fn with_scan<T>(trace: bool, metrics: &mut QueryMetrics, f: impl FnOnce() -> T) 
 /// Everything one query execution needs to decide per-edge fault and
 /// corruption outcomes and per-peer quarantine standing. Immutable for the
 /// whole walk — both fault streams are keyed (not drawn in order) and the
-/// quarantine snapshot is frozen before the first hop — so sequential and
-/// parallel engines observe identical decisions.
+/// quarantine snapshot is frozen before the first hop — so both fan-outs
+/// observe identical decisions.
 struct QuerySession {
     /// Omission faults: drops, slow peers, timeouts.
     faults: FaultSession,
@@ -170,38 +168,12 @@ pub struct Executor<'a, O> {
     audit: bool,
 }
 
-/// The mutable state threaded through one *sequential* execution.
-struct RunState<'q, Q> {
-    query: &'q Q,
-    /// Cost counters, visit trace, answer stream and abandoned volumes —
-    /// the same ledger shape the parallel engine reduces per branch.
-    ledger: BranchLedger,
-    visited: FxHashSet<PeerId>,
-    sess: QuerySession,
-}
-
-/// Everything a *parallel* execution shares across worker threads. Built
-/// before the pool scope opens so tasks can borrow it for the scope's
-/// lifetime; holds no per-branch mutable state (branches own their
-/// [`BranchLedger`]s, and [`FaultSession`] decisions are keyed, not drawn).
-struct ParCtx<'a, O, Q> {
+/// One query's walk: the executor, the query and the session that every
+/// visit reads and none writes, shared by both fan-outs.
+struct Walk<'a, O, Q> {
     exec: &'a Executor<'a, O>,
     query: &'a Q,
-    visited: ShardedVisited,
     sess: QuerySession,
-    trace: bool,
-    certs: bool,
-}
-
-impl<O: RippleOverlay, Q> ParCtx<'_, O, Q> {
-    /// Marks a peer visited (the parallel twin of [`Executor::visit`]): the
-    /// sharded set makes the *total* duplicate count schedule-independent.
-    fn visit(&self, peer: PeerId, ledger: &mut BranchLedger) {
-        if !self.visited.insert(peer) {
-            ledger.metrics.duplicate_visits += 1;
-        }
-        ledger.metrics.visit(peer);
-    }
 }
 
 impl<'a, O: RippleOverlay> Executor<'a, O> {
@@ -391,55 +363,6 @@ impl<'a, O: RippleOverlay> Executor<'a, O> {
         ledger.cert.as_ref().map(|c| c.len() - 1)
     }
 
-    /// Records a pruned-link tile with the query's evidence that skipping
-    /// the region was sound. No-op when certificate emission is off.
-    ///
-    /// The commission-fault plane taps this path: a lying peer reports a
-    /// corrupted numeric bound for the witness. When auditing is on the
-    /// claimed bound is checked against the honestly recomputed one — a
-    /// mismatch taints the peer and the *honest* witness is emitted (the
-    /// pruned region itself needs no re-query: pruning soundness depends
-    /// only on the recomputed bound). When auditing is off the corrupted
-    /// witness lands in the certificate, where the offline verifier fails
-    /// it with `WitnessMismatch`.
-    fn certify_pruned<Q: RankQuery<O::Region>>(
-        &self,
-        query: &Q,
-        w: PeerId,
-        region: &O::Region,
-        global: &Q::Global,
-        sess: &QuerySession,
-        ledger: &mut BranchLedger,
-    ) {
-        if ledger.cert.is_none() {
-            return;
-        }
-        let honest = query.prune_witness(region, global);
-        let witness = if w != sess.initiator && sess.corrupt.lies_about_witness(w, sess.initiator) {
-            corrupt_witness(&honest)
-        } else {
-            honest.clone()
-        };
-        let emitted = if self.audit && sess.corrupt.active() {
-            ledger.metrics.audits_run += 1;
-            if audit_witness(&witness, &honest).is_err() {
-                ledger.metrics.audits_failed += 1;
-                ledger.audits.push((w, true));
-                honest
-            } else {
-                witness
-            }
-        } else {
-            witness
-        };
-        let entry = CertRegion::Pruned {
-            rects: self.net.region_rects(region),
-            volume: self.net.region_volume(region),
-            witness: emitted,
-        };
-        ledger.certify(|| entry);
-    }
-
     /// Seals a finished execution's tile stream into the outcome's
     /// [`Certificate`], stamped with the overlay's snapshot generation.
     fn seal_certificate(&self, regions: Option<Vec<CertRegion>>) -> Option<Certificate> {
@@ -456,39 +379,12 @@ impl<'a, O: RippleOverlay> Executor<'a, O> {
     where
         Q: RankQuery<O::Region>,
     {
-        assert!(
-            self.net.is_peer_live(initiator),
-            "query initiated at a crashed peer {initiator}"
-        );
-        let mut run = RunState {
-            query,
-            ledger: BranchLedger::with_certificates(self.trace, self.certificates),
+        self.drive(initiator, query, |walk, ledger| {
             // Worst case every peer is visited (broadcast); pre-sizing from
             // the overlay keeps the hot set from rehashing mid-query.
-            visited: fx_set_with_capacity(self.net.peer_count()),
-            sess: self.session(initiator),
-        };
-        let full = self.net.full_region();
-        let global = query.initial_global();
-        let (state, latency) = match mode {
-            Mode::Fast => self.fast(initiator, &global, full, false, &mut run),
-            Mode::Slow => self.slow(initiator, &global, full, &mut run),
-            Mode::Ripple(0) => self.fast(initiator, &global, full, false, &mut run),
-            Mode::Ripple(r) => self.ripple(initiator, &global, full, r, &mut run),
-            Mode::Broadcast => self.broadcast(initiator, &global, full, &mut run),
-        };
-        self.flush_audits(&mut run.ledger);
-        let mut metrics = run.ledger.metrics;
-        metrics.latency = latency;
-        let coverage = self.coverage_of(&run.ledger.unreachable);
-        let certificate = self.seal_certificate(run.ledger.cert);
-        QueryOutcome {
-            answers: run.ledger.answers,
-            state,
-            metrics,
-            coverage,
-            certificate,
-        }
+            let mut fan = Inline(fx_set_with_capacity(self.net.peer_count()));
+            walk.start(&mut fan, mode, ledger)
+        })
     }
 
     /// Processes `query` like [`run`](Executor::run), but executes the
@@ -500,8 +396,8 @@ impl<'a, O: RippleOverlay> Executor<'a, O> {
     /// answers, same [`QueryMetrics`] including the visit trace, same
     /// [`Coverage`] — for every mode, fault plane and thread count; the
     /// equivalence suite enforces this. With `threads <= 1`, or for
-    /// `Mode::Slow` (semantically sequential: every link waits for the
-    /// previous state response), this *is* the sequential engine.
+    /// `Mode::Slow` (which never forks), no pool is spun up and this *is*
+    /// [`run`](Executor::run).
     ///
     /// [`QueryMetrics`]: ripple_net::QueryMetrics
     pub fn run_parallel<Q>(
@@ -521,434 +417,356 @@ impl<'a, O: RippleOverlay> Executor<'a, O> {
         if threads <= 1 || matches!(mode, Mode::Slow) {
             return self.run(initiator, query, mode);
         }
+        self.drive(initiator, query, |walk, ledger| {
+            let visited = ShardedVisited::new(self.net.peer_count(), threads * 4);
+            pool::scope(threads - 1, |pool| {
+                let mut fan = Pooled {
+                    pool,
+                    visited: &visited,
+                };
+                walk.start(&mut fan, mode, ledger)
+            })
+        })
+    }
+
+    /// What both entry points share: checks the initiator, opens the
+    /// query's session, lets `walk` run the templates into a fresh ledger,
+    /// then flushes the audit verdicts and seals coverage and certificate.
+    fn drive<Q: RankQuery<O::Region>>(
+        &self,
+        initiator: PeerId,
+        query: &Q,
+        walk: impl FnOnce(&Walk<'_, O, Q>, &mut BranchLedger) -> (Q::Local, u64),
+    ) -> QueryOutcome<Q::Local> {
         assert!(
             self.net.is_peer_live(initiator),
             "query initiated at a crashed peer {initiator}"
         );
-        let ctx = ParCtx {
-            exec: self,
-            query,
-            visited: ShardedVisited::new(self.net.peer_count(), threads * 4),
-            sess: self.session(initiator),
-            trace: self.trace,
-            certs: self.certificates,
-        };
-        let (state, latency, mut ledger) = pool::scope(threads - 1, |pool| {
-            let mut ledger = BranchLedger::with_certificates(self.trace, self.certificates);
-            let full = self.net.full_region();
-            let global = ctx.query.initial_global();
-            let (state, latency) = match mode {
-                Mode::Fast | Mode::Ripple(0) => {
-                    fast_par(&ctx, initiator, &global, full, false, pool, &mut ledger)
-                }
-                Mode::Ripple(r) => ripple_par(&ctx, initiator, &global, full, r, pool, &mut ledger),
-                Mode::Broadcast => {
-                    broadcast_par(&ctx, initiator, &Arc::new(global), full, pool, &mut ledger)
-                }
-                Mode::Slow => unreachable!("slow mode delegates to the sequential engine"),
-            };
-            (state, latency, ledger)
-        });
+        let sess = self.session(initiator);
+        let mut ledger = BranchLedger::with_certificates(self.trace, self.certificates);
+        let (state, latency) = walk(
+            &Walk {
+                exec: self,
+                query,
+                sess,
+            },
+            &mut ledger,
+        );
         self.flush_audits(&mut ledger);
         let mut metrics = ledger.metrics;
         metrics.latency = latency;
-        let coverage = self.coverage_of(&ledger.unreachable);
-        let certificate = self.seal_certificate(ledger.cert);
         QueryOutcome {
             answers: ledger.answers,
             state,
             metrics,
-            coverage,
-            certificate,
+            coverage: self.coverage_of(&ledger.unreachable),
+            certificate: self.seal_certificate(ledger.cert),
+        }
+    }
+}
+
+/// A peer's links intersected with its restriction area: each link's
+/// target and restricted region, in link order.
+type Links<R> = Vec<(PeerId, R)>;
+
+/// The template a forked subtree runs.
+#[derive(Clone, Copy)]
+enum Child {
+    /// Algorithm 1; `report_states` charges each peer's state response to
+    /// the last slow-phase ancestor (the fast phase of Algorithm 3).
+    Fast { report_states: bool },
+    /// Naive broadcast.
+    Broadcast,
+}
+
+/// Where the subtrees below a peer's relevant links run (see the module
+/// docs). Whichever fan-out runs them, their results and ledger entries
+/// come back in link order.
+trait FanOut<'a, O: RippleOverlay, Q: RankQuery<O::Region>> {
+    /// How a peer holds the global state its subtrees share: by value on
+    /// one thread, behind an `Arc` when subtrees may run on other threads.
+    type Shared: Borrow<Q::Global>;
+
+    fn share(global: Q::Global) -> Self::Shared;
+
+    /// Adds `peer` to the walk's visited set; `false` if it was there.
+    fn first_visit(&mut self, peer: PeerId) -> bool;
+
+    /// Delivers the query from `w` along each of `links` and walks the
+    /// subtrees as `child` under `global`. Returns the completion latency
+    /// of the fan-out (`max` over the links, which are contacted at once)
+    /// and, for `fast`, the subtrees' states in link order.
+    fn fork(
+        &mut self,
+        walk: &'a Walk<'a, O, Q>,
+        w: PeerId,
+        child: Child,
+        links: Links<O::Region>,
+        global: &Self::Shared,
+        ledger: &mut BranchLedger,
+    ) -> (u64, Vec<Q::Local>);
+}
+
+/// The inline fan-out: every subtree runs on the calling thread, depth
+/// first, straight into the parent's ledger; the visited set is a plain
+/// hash set.
+struct Inline(FxHashSet<PeerId>);
+
+impl<'a, O: RippleOverlay, Q: RankQuery<O::Region>> FanOut<'a, O, Q> for Inline {
+    type Shared = Q::Global;
+
+    fn share(global: Q::Global) -> Q::Global {
+        global
+    }
+
+    fn first_visit(&mut self, peer: PeerId) -> bool {
+        self.0.insert(peer)
+    }
+
+    fn fork(
+        &mut self,
+        walk: &'a Walk<'a, O, Q>,
+        w: PeerId,
+        child: Child,
+        links: Links<O::Region>,
+        global: &Q::Global,
+        ledger: &mut BranchLedger,
+    ) -> (u64, Vec<Q::Local>) {
+        walk.fork_here(self, w, child, links, global, ledger)
+    }
+}
+
+/// The pool fan-out: one task per relevant link on a work-stealing pool,
+/// each filling its own [`BranchLedger`], which the parent merges back in
+/// link order. The global state is shared behind an `Arc`, never cloned.
+struct Pooled<'p, 'a> {
+    pool: &'p Pool<'a>,
+    visited: &'a ShardedVisited,
+}
+
+impl<'a, O, Q> FanOut<'a, O, Q> for Pooled<'_, 'a>
+where
+    O: RippleOverlay + Sync,
+    O::Region: Send + 'a,
+    Q: RankQuery<O::Region> + Sync,
+    Q::Global: Send + Sync + 'a,
+    Q::Local: Send + 'a,
+{
+    type Shared = Arc<Q::Global>;
+
+    fn share(global: Q::Global) -> Arc<Q::Global> {
+        Arc::new(global)
+    }
+
+    fn first_visit(&mut self, peer: PeerId) -> bool {
+        self.visited.insert(peer)
+    }
+
+    fn fork(
+        &mut self,
+        walk: &'a Walk<'a, O, Q>,
+        w: PeerId,
+        child: Child,
+        links: Links<O::Region>,
+        global: &Arc<Q::Global>,
+        ledger: &mut BranchLedger,
+    ) -> (u64, Vec<Q::Local>) {
+        if links.len() <= 1 {
+            // A chain: forking buys nothing, recurse on this thread.
+            return walk.fork_here(self, w, child, links, global, ledger);
+        }
+        let visited = self.visited;
+        let tasks = links.into_iter().map(|link| {
+            let global = Arc::clone(global);
+            move |pool: &Pool<'a>| {
+                let (trace, certs) = (walk.exec.trace, walk.exec.certificates);
+                let mut branch = BranchLedger::with_certificates(trace, certs);
+                let mut fan = Pooled { pool, visited };
+                let result = walk.descend(&mut fan, w, child, link, &global, &mut branch);
+                (result, branch)
+            }
+        });
+        let mut out = (0, Vec::new());
+        for (result, branch) in self.pool.join_all(tasks.collect()) {
+            ledger.merge_child(branch);
+            absorb(&mut out, child, result);
+        }
+        out
+    }
+}
+
+/// Folds one subtree (its delivery delay, and its state and latency unless
+/// every delivery candidate failed) into a fan-out's running result.
+fn absorb<L>(
+    (latency, states): &mut (u64, Vec<L>),
+    child: Child,
+    (delay, result): (u64, Option<(L, u64)>),
+) {
+    match result {
+        // subtree unreachable: the time wasted waiting still counts
+        None => *latency = (*latency).max(delay),
+        Some((state, child_latency)) => {
+            *latency = (*latency).max(delay + child_latency);
+            if matches!(child, Child::Fast { .. }) {
+                states.push(state);
+            }
+        }
+    }
+}
+
+/// A peer mid-visit: what its epilogue needs once its links are done.
+struct Visit<'v, R, L> {
+    w: PeerId,
+    view: LocalView<'v>,
+    restriction: R,
+    /// The peer's links intersected with `restriction`; each template
+    /// takes them over.
+    links: Links<R>,
+    /// The peer's `Scanned` certificate tile, if certificates are on.
+    scan_tile: Option<usize>,
+    /// The peer's local state; `ripple` refines it link by link.
+    local: L,
+}
+
+impl<'a, O: RippleOverlay, Q: RankQuery<O::Region>> Walk<'a, O, Q> {
+    /// Runs `mode` from the session's initiator over the whole domain.
+    fn start<F: FanOut<'a, O, Q>>(
+        &'a self,
+        fan: &mut F,
+        mode: Mode,
+        ledger: &mut BranchLedger,
+    ) -> (Q::Local, u64) {
+        let w = self.sess.initiator;
+        let full = self.exec.net.full_region();
+        let global = self.query.initial_global();
+        match mode {
+            Mode::Fast | Mode::Ripple(0) => self.fast(fan, w, &global, full, false, ledger),
+            // Algorithm 2 is Algorithm 3 with a hop budget no walk exhausts.
+            Mode::Slow => self.ripple(fan, w, &global, full, u32::MAX, ledger),
+            Mode::Ripple(r) => self.ripple(fan, w, &global, full, r, ledger),
+            Mode::Broadcast => self.broadcast(fan, w, &F::share(global), full, ledger),
         }
     }
 
     /// Marks a peer visited. The restriction areas guarantee each peer
     /// processes a query at most once; a second visit is a correctness
     /// anomaly, counted in [`QueryMetrics::duplicate_visits`] and surfaced
-    /// all the way into the figure CSVs rather than tolerated silently (or
-    /// audited only in debug builds, as before).
-    ///
-    /// [`QueryMetrics::duplicate_visits`]: ripple_net::QueryMetrics::duplicate_visits
-    fn visit<Q>(&self, peer: PeerId, run: &mut RunState<'_, Q>) {
-        if !run.visited.insert(peer) {
-            run.ledger.metrics.duplicate_visits += 1;
+    /// all the way into the figure CSVs rather than tolerated silently.
+    fn visit<F: FanOut<'a, O, Q>>(fan: &mut F, peer: PeerId, ledger: &mut BranchLedger) {
+        if !fan.first_visit(peer) {
+            ledger.metrics.duplicate_visits += 1;
         }
-        run.ledger.metrics.visit(peer);
+        ledger.metrics.visit(peer);
     }
 
-    /// Simulates the retransmission loop of the edge `sender → target`:
-    /// `1 + max_retries` send attempts, each lost to the network with the
-    /// plane's drop probability (or unacknowledged outright when the target
-    /// is dead), each loss costing the sender a timeout wait that backs off
-    /// exponentially. Returns `(elapsed, delivered)` — the simulated hops
-    /// that passed at the sender and whether the message was eventually
-    /// processed (in which case `elapsed` includes the final transit hop and
-    /// the target's slow-peer penalty).
-    ///
-    /// Each attempt's drop verdict comes from the fault session's stream
-    /// keyed by `(sender, target, attempt)` — no draw-order state exists, so
-    /// sequential and parallel walks of the same tree see the same losses.
-    fn transmit(
-        &self,
-        sender: PeerId,
-        target: PeerId,
-        faults: &FaultSession,
-        ledger: &mut BranchLedger,
-    ) -> (u64, bool) {
-        let alive = self.net.is_peer_live(target);
-        let mut elapsed = 0u64;
-        let mut attempt = 0u32;
-        loop {
-            ledger.metrics.forward();
-            // `&&` short-circuits: sends to a dead peer are lost without
-            // consulting the drop stream (the keyed verdict for that edge is
-            // simply never asked for).
-            if alive && !faults.drops_message(sender, target, attempt) {
-                return (elapsed + 1 + faults.slow_penalty(target), true);
-            }
-            if alive {
-                ledger.metrics.messages_dropped += 1;
-            }
-            ledger.metrics.timeouts += 1;
-            elapsed += faults.timeout() << attempt.min(16);
-            if attempt >= faults.max_retries() {
-                return (elapsed, false);
-            }
-            attempt += 1;
-            ledger.metrics.retries += 1;
-        }
-    }
-
-    /// Answers the dead zones of an abandoned (part of a) restriction area
-    /// from the overlay's replica set, if one is maintained. For each dead
-    /// zone inside `region` whose owner has a fresh-enough copy on a live
-    /// holder, the adopter fetches the copy (one forward message, the
-    /// payload charged to `replica_bytes`) and runs the query's local
-    /// functions over it via `answer`, appending the result to the branch
-    /// ledger exactly where a live peer's answer would land. `kept` is the
-    /// part of the region failover *did* cover — dead zones falling inside
-    /// it will be answered by the adopted subtree itself and are skipped
-    /// here, so no tuple is recovered twice. Returns the total dead-zone
-    /// volume recovered; the caller subtracts it from the would-be
-    /// unreachable volume.
-    ///
-    /// Replica fetches add messages and bytes but no simulated hops: the
-    /// adopter overlaps the fetch with the waits already charged by the
-    /// failed retransmissions.
-    fn recover_region<F: Fn(&[Tuple]) -> Vec<Tuple>>(
-        &self,
-        region: &O::Region,
-        kept: Option<&O::Region>,
-        excluded: &[PeerId],
-        ledger: &mut BranchLedger,
-        answer: &F,
-    ) -> f64 {
-        if !self.use_replicas {
-            return 0.0;
-        }
-        let Some(set) = self.net.replicas() else {
-            return 0.0;
-        };
-        if set.k() == 0 || set.is_empty() {
-            return 0.0;
-        }
-        // Owners whose dead (or quarantined) zone survives in the kept
-        // part: the adopted subtree recovers those itself (its own deliver
-        // failures will land here again with the smaller region).
-        let downstream: Vec<PeerId> = match kept {
-            Some(kept) => self
-                .net
-                .dead_zones_in(kept)
-                .into_iter()
-                .chain(self.net.peer_zones_in(excluded, kept))
-                .map(|(owner, _)| owner)
-                .collect(),
-            None => Vec::new(),
-        };
-        // Dead zones first, quarantined zones after — a fixed order on data
-        // that cannot change mid-query (orphans under the epoch handshake,
-        // `excluded` from the immutable session snapshot), so sequential
-        // and parallel recoveries agree tile for tile.
-        let candidates = self
-            .net
-            .dead_zones_in(region)
-            .into_iter()
-            .chain(self.net.peer_zones_in(excluded, region));
-        let mut recovered = 0.0;
-        for (owner, vol) in candidates {
-            if downstream.contains(&owner) {
-                continue;
-            }
-            let Some(rep) = set.get(owner) else {
-                continue;
-            };
-            if !rep.holders().iter().any(|&h| self.net.is_peer_live(h)) {
-                continue;
-            }
-            ledger.metrics.forward();
-            ledger.metrics.replica_hits += 1;
-            if set.is_stale(rep) {
-                ledger.metrics.stale_reads += 1;
-            }
-            ledger.metrics.replica_bytes += rep.payload_bytes();
-            let ans = with_scan(self.trace, &mut ledger.metrics, || answer(rep.tuples()));
-            ledger.answer(ans);
-            ledger.certify(|| CertRegion::Replica {
-                owner: owner.index() as u64,
-                volume: vol,
-            });
-            recovered += vol;
-        }
-        recovered
-    }
-
-    /// The coordinates of a fabricated tuple: the max corner of the first
-    /// rectangle of the restriction area the lying peer was handed. The
-    /// corner maximizes monotone scores, so an unaudited executor ranks the
-    /// forgery at the top — the worst-case poisoning.
-    fn fabricated_point(&self, restriction: &O::Region) -> Option<Vec<f64>> {
-        self.net
-            .region_rects(restriction)
-            .first()
-            .map(|r| r.hi().coords().to_vec())
-    }
-
-    /// Deposits a peer's local answer into the branch ledger, passing it
-    /// through the commission-fault plane and the online audit on the way.
-    ///
-    /// The initiator's own deposit is merged directly, and with no active
-    /// corruption plane and no probation peer to probe the whole path
-    /// collapses to the historical `ledger.answer(...)` — the clean-path
-    /// invisibility gate. Otherwise the deposit is wrapped in a response
-    /// envelope, possibly corrupted by the session's keyed stream, and —
-    /// when auditing is on — checked against the responder's authoritative
-    /// store: a failed audit discards the payload, taints the peer, and
-    /// re-answers its zone from a replica (or honestly reports it
-    /// unreachable). `recompute` runs the query's local functions the way
-    /// an honest responder would, under the global state the peer was
-    /// handed.
-    #[allow(clippy::too_many_arguments)]
-    fn deposit_answer<F: Fn(&[Tuple]) -> Vec<Tuple>>(
-        &self,
+    /// The prologue of every template: visit `w`, compute its local state
+    /// over its view, and intersect its links with the restriction area in
+    /// link order. Links plus the peer's zone tile the restriction area;
+    /// the zone's `Scanned` tile is recorded here, ahead of every tile the
+    /// links produce.
+    fn arrive<F: FanOut<'a, O, Q>>(
+        &'a self,
+        fan: &mut F,
         w: PeerId,
-        restriction: &O::Region,
-        scan_tile: Option<usize>,
-        sess: &QuerySession,
-        ledger: &mut BranchLedger,
-        answer: Vec<Tuple>,
-        recompute: &F,
-    ) {
-        if w == sess.initiator || (!sess.corrupt.active() && !sess.qsnap.has_probation()) {
-            ledger.answer(answer);
-            return;
-        }
-        let expected = self.net.snapshot_generation();
-        let mut payload = answer;
-        let mut declared = payload.len();
-        let mut generation = expected;
-        if let Some(mode) = sess.corrupt.corrupts(w, sess.initiator, 0) {
-            corrupt_payload(
-                mode,
-                &mut payload,
-                &mut declared,
-                &mut generation,
-                w,
-                || self.fabricated_point(restriction),
-            );
-        }
-        if !self.audit {
-            // Ablation arm: the (possibly poisoned) payload is merged
-            // unchallenged.
-            ledger.answer(payload);
-            return;
-        }
-        ledger.metrics.audits_run += 1;
-        let env = ResponseEnvelope {
-            payload: &payload,
-            declared_len: declared,
-            generation,
-        };
-        if audit_response(&env, self.net.peer_tuples(w), expected).is_ok() {
-            if sess.qsnap.is_probation(w) {
-                ledger.audits.push((w, false));
-            }
-            ledger.answer(payload);
-        } else {
-            ledger.metrics.audits_failed += 1;
-            ledger.metrics.tainted_tuples_discarded += payload.len() as u64;
-            ledger.audits.push((w, true));
-            self.audit_recover(w, restriction, scan_tile, ledger, recompute);
-        }
-    }
-
-    /// Re-answers the zone of an audited-out peer: its tainted contribution
-    /// covered the part of `restriction` no intersected link claims — the
-    /// same arithmetic as the peer's `Scanned` tile. A live replica of the
-    /// peer's tuples answers the zone (charged like any failover replica
-    /// read); with none, the zone is honestly unreachable. Either way the
-    /// scanned tile is rewritten in place; the unreachable case also
-    /// inserts the volume into the ledger's coverage stream at the tile's
-    /// ordinal, keeping the 1:1 in-order pairing between `Unreachable`
-    /// tiles and coverage entries that both engines and the coverage
-    /// verifier rely on.
-    fn audit_recover<F: Fn(&[Tuple]) -> Vec<Tuple>>(
-        &self,
-        w: PeerId,
-        restriction: &O::Region,
-        scan_tile: Option<usize>,
-        ledger: &mut BranchLedger,
-        recompute: &F,
-    ) {
-        let covered = neumaier(
-            self.net
-                .peer_links(w)
-                .into_iter()
-                .filter_map(|(_, region)| self.net.region_intersect(&region, restriction))
-                .map(|rr| self.net.region_volume(&rr)),
-        );
-        let volume = self.net.region_volume(restriction) - covered;
-        if self.use_replicas {
-            if let Some(set) = self.net.replicas().filter(|s| s.k() > 0) {
-                if let Some(rep) = set.get(w) {
-                    if rep.holders().iter().any(|&h| self.net.is_peer_live(h)) {
-                        ledger.metrics.forward();
-                        ledger.metrics.replica_hits += 1;
-                        if set.is_stale(rep) {
-                            ledger.metrics.stale_reads += 1;
-                        }
-                        ledger.metrics.replica_bytes += rep.payload_bytes();
-                        let ans =
-                            with_scan(self.trace, &mut ledger.metrics, || recompute(rep.tuples()));
-                        ledger.answer(ans);
-                        if let (Some(idx), Some(cert)) = (scan_tile, ledger.cert.as_mut()) {
-                            cert[idx] = CertRegion::Replica {
-                                owner: w.index() as u64,
-                                volume,
-                            };
-                        }
-                        return;
-                    }
-                }
-            }
-        }
-        match (scan_tile, ledger.cert.as_mut()) {
-            (Some(idx), Some(cert)) => {
-                let ordinal = cert[..idx]
-                    .iter()
-                    .filter(|r| matches!(r, CertRegion::Unreachable { .. }))
-                    .count();
-                cert[idx] = CertRegion::Unreachable { volume };
-                ledger.unreachable.insert(ordinal, volume);
-            }
-            _ => ledger.unreachable.push(volume),
-        }
-    }
-
-    /// Delivers a query-forward from `sender` into `restriction`, starting
-    /// at the link target `first` and failing over across the overlay's
-    /// alternate live candidates when retransmissions are exhausted. Returns
-    /// the simulated hops spent at the sender and the peer that ended up
-    /// processing the message together with the (possibly failover-trimmed)
-    /// restriction it covers — or `None` when every candidate failed. Both
-    /// the trimmed-off parts and fully abandoned areas are first offered to
-    /// [`Executor::recover_region`] — when the overlay replicates, the dead
-    /// zones inside them are answered from replicas — and only the volume
-    /// that stays unanswered is recorded as unreachable (graceful
-    /// degradation, honestly accounted).
-    ///
-    /// With an inactive fault session this is exactly one `forward()` and
-    /// one hop — bit-identical to the historical fault-unaware executor.
-    /// With no replica set (or `k = 0`) the recovery call returns zero and
-    /// the unreachable accounting is bit-identical to the replica-unaware
-    /// executor.
-    fn deliver<F: Fn(&[Tuple]) -> Vec<Tuple>>(
-        &self,
-        sender: PeerId,
-        first: PeerId,
+        global: &Q::Global,
         restriction: O::Region,
-        sess: &QuerySession,
         ledger: &mut BranchLedger,
-        answer: &F,
-    ) -> (u64, Option<(PeerId, O::Region)>) {
-        if !sess.faults.active() && sess.qsnap.no_exclusions() {
-            ledger.metrics.forward();
-            return (1, Some((first, restriction)));
+    ) -> Visit<'a, O::Region, Q::Local> {
+        let (exec, net) = (self.exec, self.exec.net);
+        Self::visit(fan, w, ledger);
+        let view = exec.view_of(w);
+        let local = with_scan(exec.trace, &mut ledger.metrics, || {
+            self.query.compute_local_state(&view, global)
+        });
+        let links: Links<O::Region> = net
+            .peer_links(w)
+            .into_iter()
+            .filter_map(|(t, region)| net.region_intersect(&region, &restriction).map(|r| (t, r)))
+            .collect();
+        let scan_tile = exec.certify_scan(w, &restriction, &links, ledger);
+        Visit {
+            w,
+            view,
+            restriction,
+            links,
+            scan_tile,
+            local,
         }
-        let mut elapsed = 0u64;
-        let mut tried: Vec<PeerId> = sess.qsnap.excluded().to_vec();
-        let mut target = first;
-        let mut restriction = restriction;
-        loop {
-            // A quarantined target is refused outright — no send, no
-            // timeout wait: the sender treats it like a known-dead peer.
-            let (spent, delivered) = if sess.qsnap.is_excluded(target) {
-                (0, false)
-            } else {
-                self.transmit(sender, target, &sess.faults, ledger)
-            };
-            elapsed += spent;
-            if delivered {
-                return (elapsed, Some((target, restriction)));
+    }
+
+    /// The epilogue of every template: answer from the final local state
+    /// and deposit the answer (through the commission-fault plane and the
+    /// audit). An honest responder answers its zone from the state it
+    /// *received*, `global` — exactly what a replica re-query reproduces
+    /// after a failed audit. Returns the local state.
+    fn depart(
+        &self,
+        at: Visit<'_, O::Region, Q::Local>,
+        global: &Q::Global,
+        ledger: &mut BranchLedger,
+    ) -> Q::Local {
+        let q = self.query;
+        let answer = with_scan(self.exec.trace, &mut ledger.metrics, || {
+            q.compute_local_answer(&at.view, &at.local)
+        });
+        let recompute = |t: &[Tuple]| replica_answer::<O::Region, Q>(q, t, global);
+        self.exec.deposit_answer(
+            at.w,
+            &at.restriction,
+            at.scan_tile,
+            &self.sess,
+            ledger,
+            answer,
+            &recompute,
+        );
+        at.local
+    }
+
+    /// Delivers the query from `w` along `link` and walks the subtree of
+    /// the peer that adopts it as `child`. Returns the delivery delay and
+    /// the subtree's state and latency (`None` when every delivery
+    /// candidate failed).
+    fn descend<F: FanOut<'a, O, Q>>(
+        &'a self,
+        fan: &mut F,
+        w: PeerId,
+        child: Child,
+        (target, restricted): (PeerId, O::Region),
+        global: &F::Shared,
+        ledger: &mut BranchLedger,
+    ) -> (u64, Option<(Q::Local, u64)>) {
+        let g: &Q::Global = global.borrow();
+        let answer = |t: &[Tuple]| replica_answer::<O::Region, Q>(self.query, t, g);
+        let (delay, adopted) = self
+            .exec
+            .deliver(w, target, restricted, &self.sess, ledger, &answer);
+        let result = adopted.map(|(dest, restricted)| match child {
+            Child::Fast { report_states } => {
+                self.fast(fan, dest, g, restricted, report_states, ledger)
             }
-            if !tried.contains(&target) {
-                tried.push(target);
-            }
-            // The filter guards against overlays whose `failover_target`
-            // ignores the `tried` exclusion: re-selecting an already-tried
-            // peer would loop forever once quarantine (or the overlay's own
-            // candidate logic) shrinks the candidate set. A filtered-out
-            // candidate means candidates are exhausted, not retryable.
-            match self
-                .net
-                .failover_target(&restriction, &tried)
-                .filter(|(next, _)| !tried.contains(next))
-            {
-                Some((next, sub)) => {
-                    let lost = self.net.region_volume(&restriction) - self.net.region_volume(&sub);
-                    if lost > 1e-12 {
-                        let recovered = self.recover_region(
-                            &restriction,
-                            Some(&sub),
-                            sess.qsnap.excluded(),
-                            ledger,
-                            answer,
-                        );
-                        let remaining = lost - recovered;
-                        if remaining > 1e-12 {
-                            ledger.unreachable.push(remaining);
-                            ledger.certify(|| CertRegion::Unreachable { volume: remaining });
-                        }
-                    }
-                    restriction = sub;
-                    target = next;
-                }
-                None => {
-                    let vol = self.net.region_volume(&restriction);
-                    let recovered = self.recover_region(
-                        &restriction,
-                        None,
-                        sess.qsnap.excluded(),
-                        ledger,
-                        answer,
-                    );
-                    if recovered == 0.0 {
-                        // Bit-identical to the replica-unaware executor: the
-                        // whole region is reported, even if its volume is
-                        // (numerically) zero.
-                        ledger.unreachable.push(vol);
-                        ledger.certify(|| CertRegion::Unreachable { volume: vol });
-                    } else {
-                        let remaining = vol - recovered;
-                        if remaining > 1e-12 {
-                            ledger.unreachable.push(remaining);
-                            ledger.certify(|| CertRegion::Unreachable { volume: remaining });
-                        }
-                    }
-                    return (elapsed, None);
-                }
-            }
+            Child::Broadcast => self.broadcast(fan, dest, global, restricted, ledger),
+        });
+        (delay, result)
+    }
+
+    /// Walks the subtrees below `links` on the calling thread, in link
+    /// order, straight into `ledger`: the inline fan-out, and the pool's
+    /// for a single link.
+    fn fork_here<F: FanOut<'a, O, Q>>(
+        &'a self,
+        fan: &mut F,
+        w: PeerId,
+        child: Child,
+        links: Links<O::Region>,
+        global: &F::Shared,
+        ledger: &mut BranchLedger,
+    ) -> (u64, Vec<Q::Local>) {
+        let mut out = (0, Vec::new());
+        for link in links {
+            let result = self.descend(fan, w, child, link, global, ledger);
+            absorb(&mut out, child, result);
         }
+        out
     }
 
     /// Algorithm 1 — and the `r = 0` loop of Algorithm 3 when
@@ -961,735 +779,120 @@ impl<'a, O: RippleOverlay> Executor<'a, O> {
     /// models the union of those states, and `report_states` charges one
     /// state-response message per peer. Under pure Algorithm 1 no state
     /// responses exist and none are charged.
-    fn fast<Q>(
-        &self,
+    fn fast<F: FanOut<'a, O, Q>>(
+        &'a self,
+        fan: &mut F,
         w: PeerId,
         global: &Q::Global,
         restriction: O::Region,
         report_states: bool,
-        run: &mut RunState<'_, Q>,
-    ) -> (Q::Local, u64)
-    where
-        Q: RankQuery<O::Region>,
-    {
-        self.visit(w, run);
-        let view = self.view_of(w);
-        let q = run.query;
-        let local = with_scan(self.trace, &mut run.ledger.metrics, || {
-            q.compute_local_state(&view, global)
-        });
-        let global_w = q.compute_global_state(global, &local);
-
-        // Intersected links in link order; together with this peer's zone
-        // they tile the restriction area. `fast` never refines `global_w`
-        // between links, so relevance — and the pruned tiles — can be
-        // decided up front, which is exactly the order the parallel engine
-        // emits; interleaving them with the delivery loop would make the
-        // sequential and parallel certificates differ.
-        let intersected: Vec<(PeerId, O::Region)> = self
-            .net
-            .peer_links(w)
-            .into_iter()
-            .filter_map(|(t, region)| {
-                self.net
-                    .region_intersect(&region, &restriction)
-                    .map(|rr| (t, rr))
-            })
-            .collect();
-        let scan_tile = self.certify_scan(w, &restriction, &intersected, &mut run.ledger);
+        ledger: &mut BranchLedger,
+    ) -> (Q::Local, u64) {
+        let q = self.query;
+        let mut at = self.arrive(fan, w, global, restriction, ledger);
+        let intersected = std::mem::take(&mut at.links);
+        let global_w = F::share(q.compute_global_state(global, &at.local));
+        // `fast` never refines `global_w` between links, so relevance — and
+        // the pruned tiles — is decided before any subtree runs.
         let mut links = Vec::with_capacity(intersected.len());
         for (target, restricted) in intersected {
-            if q.is_link_relevant(&restricted, &global_w) {
+            if q.is_link_relevant(&restricted, global_w.borrow()) {
                 links.push((target, restricted));
             } else {
-                self.certify_pruned(q, w, &restricted, &global_w, &run.sess, &mut run.ledger);
+                self.exec
+                    .certify_pruned(q, w, &restricted, global_w.borrow(), &self.sess, ledger);
             }
         }
-
-        let answer = |t: &[Tuple]| replica_answer::<O::Region, Q>(q, t, &global_w);
-        let mut latency = 0u64;
-        let mut remote_states = Vec::new();
-        for (target, restricted) in links {
-            let (delay, adopted) =
-                self.deliver(w, target, restricted, &run.sess, &mut run.ledger, &answer);
-            let Some((dest, restricted)) = adopted else {
-                // subtree unreachable: the time wasted waiting still counts
-                latency = latency.max(delay);
-                continue;
-            };
-            let (remote, child_latency) =
-                self.fast(dest, &global_w, restricted, report_states, run);
-            latency = latency.max(delay + child_latency);
-            remote_states.push(remote);
-        }
-        let local_answer = with_scan(self.trace, &mut run.ledger.metrics, || {
-            q.compute_local_answer(&view, &local)
-        });
-        // An honest responder answers its zone from the state it *received*
-        // — exactly what a replica re-query reproduces after a failed audit.
-        let recompute = |t: &[Tuple]| replica_answer::<O::Region, Q>(q, t, global);
-        self.deposit_answer(
-            w,
-            &restriction,
-            scan_tile,
-            &run.sess,
-            &mut run.ledger,
-            local_answer,
-            &recompute,
-        );
+        let child = Child::Fast { report_states };
+        let (latency, mut states) = fan.fork(self, w, child, links, &global_w, ledger);
+        let local = self.depart(at, global, ledger);
         if report_states {
-            run.ledger.metrics.respond(run.query.state_payload(&local));
+            ledger.metrics.respond(q.state_payload(&local));
         }
-        let merged = if remote_states.is_empty() {
+        let merged = if states.is_empty() {
             local
         } else {
-            remote_states.push(local);
-            run.query.update_local_state(remote_states)
+            states.push(local);
+            q.update_local_state(states)
         };
         (merged, latency)
     }
 
-    /// Algorithm 2. Returns the final local state and completion latency.
-    fn slow<Q>(
-        &self,
+    /// Algorithm 3 with hop budget `r`: links are visited one at a time in
+    /// decreasing priority, each waiting for the previous state response,
+    /// until the budget runs out and `fast` takes over. With `r ≥ Δ` this
+    /// is Algorithm 2. Returns the final local state and completion latency.
+    fn ripple<F: FanOut<'a, O, Q>>(
+        &'a self,
+        fan: &mut F,
         w: PeerId,
         global: &Q::Global,
         restriction: O::Region,
-        run: &mut RunState<'_, Q>,
-    ) -> (Q::Local, u64)
-    where
-        Q: RankQuery<O::Region>,
-    {
-        self.visit(w, run);
-        let view = self.view_of(w);
-        let q = run.query;
-        let mut local = with_scan(self.trace, &mut run.ledger.metrics, || {
-            q.compute_local_state(&view, global)
-        });
-        let mut global_w = q.compute_global_state(global, &local);
-
+        r: u32,
+        ledger: &mut BranchLedger,
+    ) -> (Q::Local, u64) {
+        if r == 0 {
+            // Below the hop budget every peer runs the fast loop; local
+            // states stream back to the last slow-phase ancestor, which the
+            // recursive return value models.
+            return self.fast(fan, w, global, restriction, true, ledger);
+        }
+        let q = self.query;
+        let mut at = self.arrive(fan, w, global, restriction, ledger);
+        let mut links = std::mem::take(&mut at.links);
+        let mut global_w = q.compute_global_state(global, &at.local);
         // sortLinks: decreasing priority of the restricted regions.
-        let mut links: Vec<(PeerId, O::Region)> = self
-            .net
-            .peer_links(w)
-            .into_iter()
-            .filter_map(|(t, region)| {
-                self.net
-                    .region_intersect(&region, &restriction)
-                    .map(|rr| (t, rr))
-            })
-            .collect();
-        let scan_tile = self.certify_scan(w, &restriction, &links, &mut run.ledger);
-        links.sort_by(|a, b| {
-            run.query
-                .priority(&b.1)
-                .total_cmp(&run.query.priority(&a.1))
-        });
+        links.sort_by(|a, b| q.priority(&b.1).total_cmp(&q.priority(&a.1)));
 
         let mut latency = 0u64;
         for (target, restricted) in links {
-            if !run.query.is_link_relevant(&restricted, &global_w) {
-                // Pruned under the *refined* state — certified mid-loop
-                // (slow is sequential in both engines, so the order agrees).
-                self.certify_pruned(q, w, &restricted, &global_w, &run.sess, &mut run.ledger);
+            if !q.is_link_relevant(&restricted, &global_w) {
+                // pruned under the *refined* state, so certified mid-loop
+                self.exec
+                    .certify_pruned(q, w, &restricted, &global_w, &self.sess, ledger);
                 continue;
             }
             // Re-created each iteration: recovery answers under the *current*
             // refined global state, exactly what this forward carried.
             let answer = |t: &[Tuple]| replica_answer::<O::Region, Q>(q, t, &global_w);
-            let (delay, adopted) =
-                self.deliver(w, target, restricted, &run.sess, &mut run.ledger, &answer);
+            let (delay, adopted) = self
+                .exec
+                .deliver(w, target, restricted, &self.sess, ledger, &answer);
             let Some((dest, restricted)) = adopted else {
                 // unreachable: sequential mode pays the wait in full
-                latency += delay;
-                continue;
-            };
-            let (remote, child_latency) = self.slow(dest, &global_w, restricted, run);
-            latency += delay + child_latency;
-            // the state response from the child
-            run.ledger.metrics.respond(run.query.state_payload(&remote));
-            local = run.query.update_local_state(vec![local, remote]);
-            global_w = run.query.compute_global_state(global, &local);
-        }
-        let local_answer = with_scan(self.trace, &mut run.ledger.metrics, || {
-            q.compute_local_answer(&view, &local)
-        });
-        let recompute = |t: &[Tuple]| replica_answer::<O::Region, Q>(q, t, global);
-        self.deposit_answer(
-            w,
-            &restriction,
-            scan_tile,
-            &run.sess,
-            &mut run.ledger,
-            local_answer,
-            &recompute,
-        );
-        (local, latency)
-    }
-
-    /// Algorithm 3 with ripple parameter `r`.
-    fn ripple<Q>(
-        &self,
-        w: PeerId,
-        global: &Q::Global,
-        restriction: O::Region,
-        r: u32,
-        run: &mut RunState<'_, Q>,
-    ) -> (Q::Local, u64)
-    where
-        Q: RankQuery<O::Region>,
-    {
-        if r == 0 {
-            // Below the hop budget every peer runs the fast loop; local
-            // states stream back to the last slow-phase ancestor, which the
-            // recursive return value models.
-            return self.fast(w, global, restriction, true, run);
-        }
-        self.visit(w, run);
-        let view = self.view_of(w);
-        let q = run.query;
-        let mut local = with_scan(self.trace, &mut run.ledger.metrics, || {
-            q.compute_local_state(&view, global)
-        });
-        let mut global_w = q.compute_global_state(global, &local);
-
-        let mut links: Vec<(PeerId, O::Region)> = self
-            .net
-            .peer_links(w)
-            .into_iter()
-            .filter_map(|(t, region)| {
-                self.net
-                    .region_intersect(&region, &restriction)
-                    .map(|rr| (t, rr))
-            })
-            .collect();
-        let scan_tile = self.certify_scan(w, &restriction, &links, &mut run.ledger);
-        links.sort_by(|a, b| {
-            run.query
-                .priority(&b.1)
-                .total_cmp(&run.query.priority(&a.1))
-        });
-
-        let mut latency = 0u64;
-        for (target, restricted) in links {
-            if !run.query.is_link_relevant(&restricted, &global_w) {
-                self.certify_pruned(q, w, &restricted, &global_w, &run.sess, &mut run.ledger);
-                continue;
-            }
-            let answer = |t: &[Tuple]| replica_answer::<O::Region, Q>(q, t, &global_w);
-            let (delay, adopted) =
-                self.deliver(w, target, restricted, &run.sess, &mut run.ledger, &answer);
-            let Some((dest, restricted)) = adopted else {
                 latency += delay;
                 continue;
             };
             let (remote, child_latency) = if r == 1 {
                 // Fast-phase peers charge their own state responses (they
                 // report directly to this peer).
-                self.fast(dest, &global_w, restricted, true, run)
+                self.fast(fan, dest, &global_w, restricted, true, ledger)
             } else {
-                let out = self.ripple(dest, &global_w, restricted, r - 1, run);
-                run.ledger.metrics.respond(run.query.state_payload(&out.0));
+                let out = self.ripple(fan, dest, &global_w, restricted, r - 1, ledger);
+                ledger.metrics.respond(q.state_payload(&out.0));
                 out
             };
             latency += delay + child_latency;
-            local = run.query.update_local_state(vec![local, remote]);
-            global_w = run.query.compute_global_state(global, &local);
+            at.local = q.update_local_state(vec![at.local, remote]);
+            global_w = q.compute_global_state(global, &at.local);
         }
-        let local_answer = with_scan(self.trace, &mut run.ledger.metrics, || {
-            q.compute_local_answer(&view, &local)
-        });
-        let recompute = |t: &[Tuple]| replica_answer::<O::Region, Q>(q, t, global);
-        self.deposit_answer(
-            w,
-            &restriction,
-            scan_tile,
-            &run.sess,
-            &mut run.ledger,
-            local_answer,
-            &recompute,
-        );
-        (local, latency)
+        (self.depart(at, global, ledger), latency)
     }
 
     /// Naive broadcast (Section 1): reach *every* peer in the restriction
     /// area in parallel, ignoring states; every peer answers from purely
-    /// local knowledge.
-    fn broadcast<Q>(
-        &self,
+    /// local knowledge, so one global state is shared down the whole tree.
+    fn broadcast<F: FanOut<'a, O, Q>>(
+        &'a self,
+        fan: &mut F,
         w: PeerId,
-        global: &Q::Global,
+        global: &F::Shared,
         restriction: O::Region,
-        run: &mut RunState<'_, Q>,
-    ) -> (Q::Local, u64)
-    where
-        Q: RankQuery<O::Region>,
-    {
-        self.visit(w, run);
-        let view = self.view_of(w);
-        let q = run.query;
-        let local = with_scan(self.trace, &mut run.ledger.metrics, || {
-            q.compute_local_state(&view, global)
-        });
-
-        // Collected before the fan-out so the scanned tile lands ahead of
-        // the subtree tiles, matching the parallel engine's emission order.
-        let links: Vec<(PeerId, O::Region)> = self
-            .net
-            .peer_links(w)
-            .into_iter()
-            .filter_map(|(t, region)| {
-                self.net
-                    .region_intersect(&region, &restriction)
-                    .map(|rr| (t, rr))
-            })
-            .collect();
-        let scan_tile = self.certify_scan(w, &restriction, &links, &mut run.ledger);
-
-        let answer = |t: &[Tuple]| replica_answer::<O::Region, Q>(q, t, global);
-        let mut latency = 0u64;
-        for (target, restricted) in links {
-            let (delay, adopted) =
-                self.deliver(w, target, restricted, &run.sess, &mut run.ledger, &answer);
-            let Some((dest, restricted)) = adopted else {
-                latency = latency.max(delay);
-                continue;
-            };
-            // the global state is never refined — pure flooding
-            let (_, child_latency) = self.broadcast(dest, global, restricted, run);
-            latency = latency.max(delay + child_latency);
-        }
-        let local_answer = with_scan(self.trace, &mut run.ledger.metrics, || {
-            q.compute_local_answer(&view, &local)
-        });
-        self.deposit_answer(
-            w,
-            &restriction,
-            scan_tile,
-            &run.sess,
-            &mut run.ledger,
-            local_answer,
-            &answer,
-        );
-        (local, latency)
+        ledger: &mut BranchLedger,
+    ) -> (Q::Local, u64) {
+        let mut at = self.arrive(fan, w, global.borrow(), restriction, ledger);
+        let links = std::mem::take(&mut at.links);
+        let (latency, _) = fan.fork(self, w, Child::Broadcast, links, global, ledger);
+        (self.depart(at, global.borrow(), ledger), latency)
     }
-}
-
-/// Applies one commission-fault mode to an answer envelope in place.
-/// `fabricate` supplies the coordinates of a forged tuple (`None` when the
-/// restriction has no geometry to forge into).
-fn corrupt_payload(
-    mode: CorruptionMode,
-    payload: &mut Vec<Tuple>,
-    declared: &mut usize,
-    generation: &mut u64,
-    w: PeerId,
-    fabricate: impl FnOnce() -> Option<Vec<f64>>,
-) {
-    match mode {
-        CorruptionMode::ScoreFlip => {
-            if let Some(t) = payload.first_mut() {
-                let mut coords = t.point.coords().to_vec();
-                coords[0] = -(coords[0].abs() + 1.0);
-                *t = Tuple::new(t.id, coords);
-            }
-        }
-        CorruptionMode::Truncate => {
-            // The declared length stays honest while the payload loses its
-            // last tuple (an empty answer has nothing to truncate).
-            payload.pop();
-        }
-        CorruptionMode::StaleGeneration => *generation = generation.wrapping_sub(1),
-        CorruptionMode::Fabricate => {
-            if let Some(coords) = fabricate() {
-                // A fresh id no store ever issued; length re-declared so
-                // only store membership can catch the forgery.
-                payload.push(Tuple::new(u64::MAX - w.index() as u64, coords));
-                *declared = payload.len();
-            }
-        }
-        CorruptionMode::LyingWitness => {
-            unreachable!("witness lies are drawn on the witness stream, never on deposits")
-        }
-    }
-}
-
-/// A corrupted numeric prune witness: the claimed bound drifts off the
-/// honestly recomputed one. Structural witnesses have no number to lie
-/// about and pass through unchanged.
-fn corrupt_witness(honest: &PruneWitness) -> PruneWitness {
-    match honest {
-        PruneWitness::ScoreBound { bound } => PruneWitness::ScoreBound { bound: bound + 1.0 },
-        PruneWitness::PhiBound { bound } => PruneWitness::PhiBound { bound: bound - 1.0 },
-        other => other.clone(),
-    }
-}
-
-/// One forked branch of a parallel fast/broadcast fan-out: the delivery
-/// delay of the edge that reached it, the subtree's result (state and
-/// completion latency; `None` when every delivery candidate failed), and
-/// the branch's partial ledger.
-type Branch<L> = (u64, Option<(L, u64)>, BranchLedger);
-
-/// Parallel Algorithm 1 (and the fast phase of Algorithm 3): the mirror of
-/// [`Executor::fast`] that forks one task per relevant link and reduces the
-/// children's [`BranchLedger`]s back **in link order**, which restores the
-/// sequential executor's ledger bit-for-bit (pre-order visits, post-order
-/// answers, link-order abandonment; counters are order-free sums).
-///
-/// Relevance is decided *before* forking, against the same `global_w` the
-/// sequential loop uses — `fast` never refines the global state between
-/// links, so the link filter is identical by construction.
-fn fast_par<'env, O, Q>(
-    ctx: &'env ParCtx<'env, O, Q>,
-    w: PeerId,
-    global: &Q::Global,
-    restriction: O::Region,
-    report_states: bool,
-    pool: &Pool<'env>,
-    ledger: &mut BranchLedger,
-) -> (Q::Local, u64)
-where
-    O: RippleOverlay + Sync,
-    O::Region: Send + 'env,
-    Q: RankQuery<O::Region> + Sync,
-    Q::Global: Send + Sync + 'env,
-    Q::Local: Send + 'env,
-{
-    ctx.visit(w, ledger);
-    let view = ctx.exec.view_of(w);
-    let local = with_scan(ctx.trace, &mut ledger.metrics, || {
-        ctx.query.compute_local_state(&view, global)
-    });
-    let global_w = Arc::new(ctx.query.compute_global_state(global, &local));
-
-    // The same links, filtered by the same predicates, in the same order as
-    // the sequential loop — including the same certificate tiles: scanned
-    // first, then the pruned links in link order, then the branches.
-    let intersected: Vec<(PeerId, O::Region)> = ctx
-        .exec
-        .net
-        .peer_links(w)
-        .into_iter()
-        .filter_map(|(t, region)| {
-            ctx.exec
-                .net
-                .region_intersect(&region, &restriction)
-                .map(|rr| (t, rr))
-        })
-        .collect();
-    let scan_tile = ctx.exec.certify_scan(w, &restriction, &intersected, ledger);
-    let mut links = Vec::with_capacity(intersected.len());
-    for (target, restricted) in intersected {
-        if ctx.query.is_link_relevant(&restricted, &global_w) {
-            links.push((target, restricted));
-        } else {
-            ctx.exec
-                .certify_pruned(ctx.query, w, &restricted, &global_w, &ctx.sess, ledger);
-        }
-    }
-
-    let mut latency = 0u64;
-    let mut remote_states = Vec::new();
-    if links.len() <= 1 {
-        // A chain: forking buys nothing, recurse inline on this thread.
-        let answer = |t: &[Tuple]| replica_answer::<O::Region, Q>(ctx.query, t, &global_w);
-        for (target, restricted) in links {
-            let (delay, adopted) = ctx
-                .exec
-                .deliver(w, target, restricted, &ctx.sess, ledger, &answer);
-            match adopted {
-                None => latency = latency.max(delay),
-                Some((dest, restricted)) => {
-                    let (remote, child_latency) = fast_par(
-                        ctx,
-                        dest,
-                        &global_w,
-                        restricted,
-                        report_states,
-                        pool,
-                        ledger,
-                    );
-                    latency = latency.max(delay + child_latency);
-                    remote_states.push(remote);
-                }
-            }
-        }
-    } else {
-        let branches: Vec<Branch<Q::Local>> = pool.join_all(
-            links
-                .into_iter()
-                .map(|(target, restricted)| {
-                    let global_w = Arc::clone(&global_w);
-                    move |pool: &Pool<'env>| {
-                        let mut branch = BranchLedger::with_certificates(ctx.trace, ctx.certs);
-                        let answer =
-                            |t: &[Tuple]| replica_answer::<O::Region, Q>(ctx.query, t, &global_w);
-                        let (delay, adopted) = ctx.exec.deliver(
-                            w,
-                            target,
-                            restricted,
-                            &ctx.sess,
-                            &mut branch,
-                            &answer,
-                        );
-                        match adopted {
-                            None => (delay, None, branch),
-                            Some((dest, restricted)) => {
-                                let (remote, child_latency) = fast_par(
-                                    ctx,
-                                    dest,
-                                    &global_w,
-                                    restricted,
-                                    report_states,
-                                    pool,
-                                    &mut branch,
-                                );
-                                (delay, Some((remote, child_latency)), branch)
-                            }
-                        }
-                    }
-                })
-                .collect(),
-        );
-        for (delay, result, branch) in branches {
-            ledger.merge_child(branch);
-            match result {
-                None => latency = latency.max(delay),
-                Some((remote, child_latency)) => {
-                    latency = latency.max(delay + child_latency);
-                    remote_states.push(remote);
-                }
-            }
-        }
-    }
-    let local_answer = with_scan(ctx.trace, &mut ledger.metrics, || {
-        ctx.query.compute_local_answer(&view, &local)
-    });
-    let recompute = |t: &[Tuple]| replica_answer::<O::Region, Q>(ctx.query, t, global);
-    ctx.exec.deposit_answer(
-        w,
-        &restriction,
-        scan_tile,
-        &ctx.sess,
-        ledger,
-        local_answer,
-        &recompute,
-    );
-    if report_states {
-        ledger.metrics.respond(ctx.query.state_payload(&local));
-    }
-    let merged = if remote_states.is_empty() {
-        local
-    } else {
-        remote_states.push(local);
-        ctx.query.update_local_state(remote_states)
-    };
-    (merged, latency)
-}
-
-/// Parallel Algorithm 3: the slow phase above the hop budget is semantically
-/// sequential (every link waits for the previous state response before
-/// relevance is re-decided), so it runs on the caller and accumulates into
-/// the shared ledger exactly like [`Executor::ripple`]; once `r` reaches 0
-/// the fast-phase subtrees fan out through [`fast_par`].
-fn ripple_par<'env, O, Q>(
-    ctx: &'env ParCtx<'env, O, Q>,
-    w: PeerId,
-    global: &Q::Global,
-    restriction: O::Region,
-    r: u32,
-    pool: &Pool<'env>,
-    ledger: &mut BranchLedger,
-) -> (Q::Local, u64)
-where
-    O: RippleOverlay + Sync,
-    O::Region: Send + 'env,
-    Q: RankQuery<O::Region> + Sync,
-    Q::Global: Send + Sync + 'env,
-    Q::Local: Send + 'env,
-{
-    if r == 0 {
-        return fast_par(ctx, w, global, restriction, true, pool, ledger);
-    }
-    ctx.visit(w, ledger);
-    let view = ctx.exec.view_of(w);
-    let mut local = with_scan(ctx.trace, &mut ledger.metrics, || {
-        ctx.query.compute_local_state(&view, global)
-    });
-    let mut global_w = ctx.query.compute_global_state(global, &local);
-
-    let mut links: Vec<(PeerId, O::Region)> = ctx
-        .exec
-        .net
-        .peer_links(w)
-        .into_iter()
-        .filter_map(|(t, region)| {
-            ctx.exec
-                .net
-                .region_intersect(&region, &restriction)
-                .map(|rr| (t, rr))
-        })
-        .collect();
-    let scan_tile = ctx.exec.certify_scan(w, &restriction, &links, ledger);
-    links.sort_by(|a, b| {
-        ctx.query
-            .priority(&b.1)
-            .total_cmp(&ctx.query.priority(&a.1))
-    });
-
-    let mut latency = 0u64;
-    for (target, restricted) in links {
-        if !ctx.query.is_link_relevant(&restricted, &global_w) {
-            ctx.exec
-                .certify_pruned(ctx.query, w, &restricted, &global_w, &ctx.sess, ledger);
-            continue;
-        }
-        let answer = |t: &[Tuple]| replica_answer::<O::Region, Q>(ctx.query, t, &global_w);
-        let (delay, adopted) = ctx
-            .exec
-            .deliver(w, target, restricted, &ctx.sess, ledger, &answer);
-        let Some((dest, restricted)) = adopted else {
-            latency += delay;
-            continue;
-        };
-        let (remote, child_latency) = if r == 1 {
-            fast_par(ctx, dest, &global_w, restricted, true, pool, ledger)
-        } else {
-            let out = ripple_par(ctx, dest, &global_w, restricted, r - 1, pool, ledger);
-            ledger.metrics.respond(ctx.query.state_payload(&out.0));
-            out
-        };
-        latency += delay + child_latency;
-        local = ctx.query.update_local_state(vec![local, remote]);
-        global_w = ctx.query.compute_global_state(global, &local);
-    }
-    let local_answer = with_scan(ctx.trace, &mut ledger.metrics, || {
-        ctx.query.compute_local_answer(&view, &local)
-    });
-    let recompute = |t: &[Tuple]| replica_answer::<O::Region, Q>(ctx.query, t, global);
-    ctx.exec.deposit_answer(
-        w,
-        &restriction,
-        scan_tile,
-        &ctx.sess,
-        ledger,
-        local_answer,
-        &recompute,
-    );
-    (local, latency)
-}
-
-/// Parallel naive broadcast: [`Executor::broadcast`] with the fan-out forked
-/// per link. The global state is never refined, so one `Arc` of the
-/// initiator's state is shared down the whole tree.
-fn broadcast_par<'env, O, Q>(
-    ctx: &'env ParCtx<'env, O, Q>,
-    w: PeerId,
-    global: &Arc<Q::Global>,
-    restriction: O::Region,
-    pool: &Pool<'env>,
-    ledger: &mut BranchLedger,
-) -> (Q::Local, u64)
-where
-    O: RippleOverlay + Sync,
-    O::Region: Send + 'env,
-    Q: RankQuery<O::Region> + Sync,
-    Q::Global: Send + Sync + 'env,
-    Q::Local: Send + 'env,
-{
-    ctx.visit(w, ledger);
-    let view = ctx.exec.view_of(w);
-    let local = with_scan(ctx.trace, &mut ledger.metrics, || {
-        ctx.query.compute_local_state(&view, global)
-    });
-
-    let links: Vec<(PeerId, O::Region)> = ctx
-        .exec
-        .net
-        .peer_links(w)
-        .into_iter()
-        .filter_map(|(t, region)| {
-            ctx.exec
-                .net
-                .region_intersect(&region, &restriction)
-                .map(|rr| (t, rr))
-        })
-        .collect();
-    let scan_tile = ctx.exec.certify_scan(w, &restriction, &links, ledger);
-
-    let mut latency = 0u64;
-    if links.len() <= 1 {
-        let answer = |t: &[Tuple]| replica_answer::<O::Region, Q>(ctx.query, t, global);
-        for (target, restricted) in links {
-            let (delay, adopted) = ctx
-                .exec
-                .deliver(w, target, restricted, &ctx.sess, ledger, &answer);
-            match adopted {
-                None => latency = latency.max(delay),
-                Some((dest, restricted)) => {
-                    let (_, child_latency) =
-                        broadcast_par(ctx, dest, global, restricted, pool, ledger);
-                    latency = latency.max(delay + child_latency);
-                }
-            }
-        }
-    } else {
-        let branches: Vec<Branch<Q::Local>> = pool.join_all(
-            links
-                .into_iter()
-                .map(|(target, restricted)| {
-                    let global = Arc::clone(global);
-                    move |pool: &Pool<'env>| {
-                        let mut branch = BranchLedger::with_certificates(ctx.trace, ctx.certs);
-                        let answer =
-                            |t: &[Tuple]| replica_answer::<O::Region, Q>(ctx.query, t, &global);
-                        let (delay, adopted) = ctx.exec.deliver(
-                            w,
-                            target,
-                            restricted,
-                            &ctx.sess,
-                            &mut branch,
-                            &answer,
-                        );
-                        match adopted {
-                            None => (delay, None, branch),
-                            Some((dest, restricted)) => {
-                                let (remote, child_latency) = broadcast_par(
-                                    ctx,
-                                    dest,
-                                    &global,
-                                    restricted,
-                                    pool,
-                                    &mut branch,
-                                );
-                                (delay, Some((remote, child_latency)), branch)
-                            }
-                        }
-                    }
-                })
-                .collect(),
-        );
-        for (delay, result, branch) in branches {
-            ledger.merge_child(branch);
-            match result {
-                None => latency = latency.max(delay),
-                Some((_, child_latency)) => latency = latency.max(delay + child_latency),
-            }
-        }
-    }
-    let local_answer = with_scan(ctx.trace, &mut ledger.metrics, || {
-        ctx.query.compute_local_answer(&view, &local)
-    });
-    let recompute = |t: &[Tuple]| replica_answer::<O::Region, Q>(ctx.query, t, global);
-    ctx.exec.deposit_answer(
-        w,
-        &restriction,
-        scan_tile,
-        &ctx.sess,
-        ledger,
-        local_answer,
-        &recompute,
-    );
-    (local, latency)
 }

@@ -244,3 +244,86 @@ fn unprioritized_wrapper_preserves_answers() {
     assert!(top5.iter().all(|t| ids(&b.answers).contains(t)));
     assert!(top5.iter().all(|t| ids(&a.answers).contains(t)));
 }
+
+/// `slow` is Algorithm 3 with a hop budget no walk exhausts (`r ≥ Δ`):
+/// `Mode::Slow` and `Mode::Ripple(u32::MAX)` must agree bit for bit —
+/// ledger (latency included), answers, coverage and certificate — on a
+/// crash-damaged, replicated MIDAS overlay under every combination of the
+/// omission and commission fault planes. Audits mutate the overlay's
+/// quarantine registry, so each side runs on its own twin network, built
+/// from the same seed and driven through the same query sequence.
+#[test]
+fn slow_equals_unbounded_ripple() {
+    use crate::framework::RippleOverlay;
+    use crate::skyline::SkylineQuery;
+    use ripple_net::rng::rngs::SmallRng;
+    use ripple_net::rng::{Rng, SeedableRng};
+    use ripple_net::{CorruptionPlane, FaultPlane};
+
+    fn twin() -> (MidasNetwork, SmallRng) {
+        let mut rng = SmallRng::seed_from_u64(0x51_0e);
+        let mut net = MidasNetwork::build(2, 48, false, &mut rng);
+        for i in 0..600u64 {
+            net.insert_tuple(Tuple::new(i, vec![rng.gen::<f64>(), rng.gen::<f64>()]));
+        }
+        net.enable_replication(1);
+        for _ in 0..4 {
+            let victim = net.random_peer(&mut rng);
+            net.crash(victim);
+            net.refresh_replicas();
+        }
+        (net, rng)
+    }
+
+    fn compare<Q: crate::framework::RankQuery<<MidasNetwork as RippleOverlay>::Region>>(
+        (slow_net, slow_rng): &mut (MidasNetwork, SmallRng),
+        (ripple_net, ripple_rng): &mut (MidasNetwork, SmallRng),
+        q: &Q,
+        label: &str,
+    ) {
+        let (mut retries, mut audits_failed) = (0, 0);
+        for (p, plane) in [FaultPlane::none(), FaultPlane::drops(0.15, 11)]
+            .into_iter()
+            .enumerate()
+        {
+            for (c, corruption) in [CorruptionPlane::none(), CorruptionPlane::flat(0.2, 5)]
+                .into_iter()
+                .enumerate()
+            {
+                for stream in 0..3u64 {
+                    let initiator = slow_net.random_peer(slow_rng);
+                    assert_eq!(initiator, ripple_net.random_peer(ripple_rng));
+                    let a = Executor::with_faults(&*slow_net, plane, stream)
+                        .with_corruption(corruption)
+                        .run(initiator, q, Mode::Slow);
+                    let b = Executor::with_faults(&*ripple_net, plane, stream)
+                        .with_corruption(corruption)
+                        .run(initiator, q, Mode::Ripple(u32::MAX));
+                    let at = format!("{label} plane {p} corruption {c} stream {stream}");
+                    assert_eq!(a.metrics.latency, b.metrics.latency, "{at}: latency");
+                    assert_eq!(a.metrics, b.metrics, "{at}: ledger");
+                    assert_eq!(a.answers, b.answers, "{at}: answers");
+                    assert_eq!(a.coverage, b.coverage, "{at}: coverage");
+                    assert_eq!(a.certificate, b.certificate, "{at}: certificate");
+                    retries += a.metrics.retries;
+                    audits_failed += a.metrics.audits_failed;
+                }
+            }
+        }
+        // the sweep must reach the retransmission and audit-recovery paths
+        assert!(retries > 0, "{label}: no retransmission exercised");
+        assert!(audits_failed > 0, "{label}: no failed audit exercised");
+    }
+
+    let (mut slow_side, mut ripple_side) = (twin(), twin());
+    for k in [1, 10] {
+        let q = TopKQuery::new(LinearScore::uniform(2), k);
+        compare(&mut slow_side, &mut ripple_side, &q, &format!("top-{k}"));
+    }
+    compare(
+        &mut slow_side,
+        &mut ripple_side,
+        &SkylineQuery::new(),
+        "skyline",
+    );
+}

@@ -146,14 +146,30 @@ pub fn detected_features() -> &'static str {
 
 /// `Auto` resolution, computed once: `RIPPLE_KERNEL_DISPATCH` override
 /// first, hardware detection otherwise.
+///
+/// # Panics
+/// On a `RIPPLE_KERNEL_DISPATCH` value [`auto_arm`] rejects.
 fn auto_simd() -> bool {
     static AUTO: OnceLock<bool> = OnceLock::new();
-    *AUTO.get_or_init(
-        || match std::env::var("RIPPLE_KERNEL_DISPATCH").as_deref() {
-            Ok("scalar") => false,
-            _ => simd_available(),
-        },
-    )
+    *AUTO.get_or_init(|| {
+        let value = std::env::var_os("RIPPLE_KERNEL_DISPATCH");
+        auto_arm(value.as_deref(), simd_available()).unwrap_or_else(|e| panic!("{e}"))
+    })
+}
+
+/// Whether `Auto` runs the SIMD arm under the `RIPPLE_KERNEL_DISPATCH`
+/// value `value`, given whether the hardware has one (`simd_hw`): unset or
+/// `simd` defers to the hardware, `scalar` forces the scalar loop. Any
+/// other value, including one that is not UTF-8, is an error naming the
+/// value and the accepted set.
+fn auto_arm(value: Option<&std::ffi::OsStr>, simd_hw: bool) -> Result<bool, String> {
+    match value.map(|v| (v, v.to_str())) {
+        None | Some((_, Some("simd"))) => Ok(simd_hw),
+        Some((_, Some("scalar"))) => Ok(false),
+        Some((v, _)) => Err(format!(
+            "RIPPLE_KERNEL_DISPATCH={v:?} is not one of \"scalar\", \"simd\" (or unset)"
+        )),
+    }
 }
 
 /// Batched linear scoring: `out[i] = Σ_d weights[d] · cols[d][i]`,
@@ -1198,6 +1214,30 @@ mod tests {
     use crate::score::{LinearScore, PeakScore, ScoreFn};
 
     const ARMS: [KernelDispatch; 2] = [KernelDispatch::ForcedScalar, KernelDispatch::ForcedSimd];
+
+    /// The `RIPPLE_KERNEL_DISPATCH` override: unset and `simd` defer to the
+    /// hardware, `scalar` forces the scalar loop, anything else is refused
+    /// with a message naming the value and the accepted set.
+    #[test]
+    fn dispatch_override_parses_and_rejects() {
+        use std::ffi::OsStr;
+        for hw in [false, true] {
+            assert_eq!(auto_arm(None, hw), Ok(hw));
+            assert_eq!(auto_arm(Some(OsStr::new("simd")), hw), Ok(hw));
+            assert_eq!(auto_arm(Some(OsStr::new("scalar")), hw), Ok(false));
+            for bad in ["", "SIMD", "avx2", " scalar"] {
+                let err = auto_arm(Some(OsStr::new(bad)), hw).unwrap_err();
+                assert!(err.contains(&format!("{bad:?}")), "{err}");
+                assert!(err.contains("\"scalar\", \"simd\""), "{err}");
+            }
+        }
+        #[cfg(unix)]
+        {
+            use std::os::unix::ffi::OsStrExt;
+            let err = auto_arm(Some(OsStr::from_bytes(b"sim\xffd")), true).unwrap_err();
+            assert!(err.contains("sim\\xFFd"), "{err}");
+        }
+    }
 
     /// Deterministic pseudo-random coordinate stream (splitmix-ish), with
     /// occasional negative and denormal values to exercise the fp edge cases
