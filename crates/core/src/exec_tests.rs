@@ -327,3 +327,216 @@ fn slow_equals_unbounded_ripple() {
         "skyline",
     );
 }
+
+/// FNV-1a over the bit patterns of everything an execution reports, so a
+/// single constant pins outcomes across refactors of the query functions.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn u64(&mut self, x: u64) {
+        for b in x.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn f64(&mut self, x: f64) {
+        self.u64(x.to_bits());
+    }
+
+    fn coords(&mut self, c: &[f64]) {
+        self.u64(c.len() as u64);
+        for &x in c {
+            self.f64(x);
+        }
+    }
+
+    fn rect(&mut self, r: &ripple_geom::Rect) {
+        self.coords(r.lo().coords());
+        self.coords(r.hi().coords());
+    }
+
+    /// Raw answers in order, the ledger fields that take part in
+    /// `QueryMetrics` equality (visit trace included), coverage, and the
+    /// certificate with its witnesses.
+    fn outcome<L>(&mut self, out: &crate::framework::QueryOutcome<L>) {
+        use ripple_verify::{CertRegion, PruneWitness};
+        self.u64(out.answers.len() as u64);
+        for t in &out.answers {
+            self.u64(t.id);
+            self.coords(t.point.coords());
+        }
+        let m = &out.metrics;
+        for x in [
+            m.latency,
+            m.query_messages,
+            m.response_messages,
+            m.peers_visited,
+            m.tuples_transferred,
+            m.retries,
+            m.timeouts,
+            m.messages_dropped,
+            m.repair_messages,
+            m.replica_hits,
+            m.stale_reads,
+            m.replica_bytes,
+            m.repair_transfers,
+            m.duplicate_visits,
+            u64::from(m.trace_off),
+            m.visited.len() as u64,
+        ] {
+            self.u64(x);
+        }
+        for p in &m.visited {
+            self.u64(p.index() as u64);
+        }
+        self.f64(out.coverage.answered_fraction);
+        self.coords(&out.coverage.unreachable);
+        let Some(cert) = &out.certificate else {
+            self.u64(u64::MAX);
+            return;
+        };
+        self.u64(cert.generation);
+        self.f64(cert.domain_volume);
+        self.u64(cert.regions.len() as u64);
+        for region in &cert.regions {
+            match region {
+                CertRegion::Scanned { peer, volume } => {
+                    self.u64(0);
+                    self.u64(*peer);
+                    self.f64(*volume);
+                }
+                CertRegion::Pruned {
+                    rects,
+                    volume,
+                    witness,
+                } => {
+                    self.u64(1);
+                    self.u64(rects.len() as u64);
+                    for r in rects {
+                        self.rect(r);
+                    }
+                    self.f64(*volume);
+                    match witness {
+                        PruneWitness::ScoreBound { bound } => {
+                            self.u64(10);
+                            self.f64(*bound);
+                        }
+                        PruneWitness::Dominator { point } => {
+                            self.u64(11);
+                            self.coords(point.coords());
+                        }
+                        PruneWitness::Disjoint => self.u64(12),
+                        PruneWitness::PhiBound { bound } => {
+                            self.u64(13);
+                            self.f64(*bound);
+                        }
+                        PruneWitness::Opaque => self.u64(14),
+                    }
+                }
+                CertRegion::Replica { owner, volume } => {
+                    self.u64(2);
+                    self.u64(*owner);
+                    self.f64(*volume);
+                }
+                CertRegion::Unreachable { volume } => {
+                    self.u64(3);
+                    self.f64(*volume);
+                }
+            }
+        }
+    }
+}
+
+/// Pins the exact outcomes of seeded skyline and top-k queries — answers,
+/// ledgers, coverage and certificates — under every propagation mode and
+/// both fan-outs, as one FNV-1a digest. A change to the query functions or
+/// their geometry primitives that is meant to be a pure speed-up must leave
+/// this constant untouched. The ring-region (Chord) twin lives in
+/// `ripple-chord`'s `tests/parallel.rs`.
+#[test]
+fn outcome_digest_is_pinned() {
+    use crate::skyline::SkylineQuery;
+    use ripple_geom::{Norm, PeakScore, Rect};
+    use ripple_net::rng::rngs::SmallRng;
+    use ripple_net::rng::{Rng, SeedableRng};
+
+    const MODES: [Mode; 4] = [Mode::Fast, Mode::Slow, Mode::Ripple(2), Mode::Broadcast];
+
+    /// 256 peers and ~2k tuples; in 2-d the data is anti-correlated (large
+    /// skylines), and a few exact duplicate points under fresh ids exercise
+    /// the min-id representative rule.
+    fn loaded(dims: usize, seed: u64) -> (MidasNetwork, SmallRng) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut net = MidasNetwork::build(dims, 256, false, &mut rng);
+        let mut data: Vec<Tuple> = (0..2000u64)
+            .map(|i| {
+                let mut c: Vec<f64> = (0..dims).map(|_| rng.gen::<f64>()).collect();
+                if dims == 2 {
+                    c[1] = (1.0 - c[0] + 0.2 * (c[1] - 0.5)).clamp(0.0, 1.0);
+                }
+                Tuple::new(i, c)
+            })
+            .collect();
+        for i in 0..24u64 {
+            let src = data[rng.gen_range(0..data.len())].point.clone();
+            data.push(Tuple::new(5000 + i, src));
+        }
+        net.insert_all(data);
+        (net, rng)
+    }
+
+    fn fold<Q>(h: &mut Fnv1a, net: &MidasNetwork, rng: &mut SmallRng, q: &Q)
+    where
+        Q: crate::framework::RankQuery<Rect> + Sync,
+        Q::Global: Send + Sync,
+        Q::Local: Send,
+    {
+        for mode in MODES {
+            for _ in 0..2 {
+                let initiator = net.random_peer(rng);
+                for exec in [Executor::new(net), Executor::naive(net)] {
+                    h.outcome(&exec.run(initiator, q, mode));
+                    h.outcome(&exec.run_parallel(initiator, q, mode, 2));
+                }
+            }
+        }
+    }
+
+    let mut h = Fnv1a::new();
+    for (dims, seed, constraint) in [
+        (2, 0xd1, Rect::new(vec![0.2, 0.1], vec![0.9, 0.8])),
+        (4, 0xd2, Rect::new(vec![0.1; 4], vec![0.8; 4])),
+    ] {
+        let (net, mut rng) = loaded(dims, seed);
+        fold(&mut h, &net, &mut rng, &SkylineQuery::new());
+        fold(
+            &mut h,
+            &net,
+            &mut rng,
+            &SkylineQuery::constrained(constraint),
+        );
+        let peak: Vec<f64> = (0..dims).map(|_| rng.gen::<f64>()).collect();
+        fold(
+            &mut h,
+            &net,
+            &mut rng,
+            &TopKQuery::new(PeakScore::new(peak, Norm::L2), 10),
+        );
+        fold(
+            &mut h,
+            &net,
+            &mut rng,
+            &TopKQuery::new(LinearScore::uniform(dims), 50),
+        );
+    }
+    assert_eq!(
+        h.0, 0xd8ae_7691_2c74_d9ed,
+        "outcome digest moved: {:#018x}",
+        h.0
+    );
+}
