@@ -8,9 +8,10 @@
 
 use crate::exec::Executor;
 use crate::framework::{Mode, QueryOutcome, RankQuery, RippleOverlay};
-use ripple_geom::{dominance, kernels, KernelDispatch, Norm, Rect, Tuple};
+use ripple_geom::{dominance, kernels, FlatSkyline, KernelDispatch, Norm, Point, Rect, Tuple};
 use ripple_net::{scan, LocalView, PeerId, PeerStore, QueryMetrics};
 use ripple_verify::{Certificate, PruneWitness};
+use std::sync::Arc;
 
 /// A skyline query (lower values better on every dimension), optionally
 /// restricted to a *constraint* box — the query DSL was designed around
@@ -33,17 +34,6 @@ impl SkylineQuery {
         Self {
             constraint: Some(constraint),
         }
-    }
-
-    fn local_tuples<'t>(&self, tuples: &'t [Tuple]) -> Vec<&'t Tuple> {
-        tuples
-            .iter()
-            .filter(|t| {
-                self.constraint
-                    .as_ref()
-                    .is_none_or(|c| c.contains(&t.point))
-            })
-            .collect()
     }
 
     /// The constrained local state over the store's columnar mirror.
@@ -70,10 +60,9 @@ impl SkylineQuery {
         store: &PeerStore,
         dispatch: KernelDispatch,
         c: &Rect,
-        global: &[Tuple],
+        global: &FlatSkyline,
     ) -> Vec<Tuple> {
         let blocks = store.blocks_at(dispatch);
-        let window: Vec<&[f64]> = global.iter().map(|g| g.point.coords()).collect();
         let (clo, chi) = (c.lo().coords(), c.hi().coords());
         let mut cols: Vec<&[f64]> = Vec::new();
         let mut idx: Vec<u32> = Vec::new();
@@ -82,7 +71,7 @@ impl SkylineQuery {
             let blo = blocks.block_min(b);
             let bhi = blocks.block_max(b);
             let disjoint = (0..blocks.dims()).any(|d| blo[d] > chi[d] || bhi[d] < clo[d]);
-            if disjoint || kernels::dominated_by_any(dispatch, window.iter().copied(), blo) {
+            if disjoint || kernels::dominated_by_any(dispatch, global.rows(), blo) {
                 scan::add_pruned(1);
                 continue;
             }
@@ -100,7 +89,7 @@ impl SkylineQuery {
                     continue;
                 }
                 // Left-fold coordinate sum in dimension order — bit-identical
-                // to the `coords().iter().sum()` key of `dominance::skyline`.
+                // to the canonical key of `dominance::skyline`.
                 let mut s = 0.0;
                 for col in &cols {
                     s += col[off as usize];
@@ -109,86 +98,87 @@ impl SkylineQuery {
             }
         }
         cand.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.id.cmp(&b.1.id)));
-        let mut sky: Vec<&Tuple> = Vec::new();
-        'outer: for &(_, t) in &cand {
-            for s in &sky {
-                if dominance::dominates(&s.point, &t.point) {
-                    continue 'outer;
-                }
-                if s.point == t.point {
-                    continue 'outer;
-                }
-            }
-            sky.push(t);
-        }
-        sky.into_iter()
-            .filter(|t| {
-                !kernels::dominated_by_any(dispatch, window.iter().copied(), t.point.coords())
-            })
+        dominance::skyline_sorted(cand.into_iter().map(|(_, t)| t))
+            .into_iter()
+            .filter(|t| !kernels::dominated_by_any(dispatch, global.rows(), t.point.coords()))
             .cloned()
             .collect()
     }
 }
 
 impl RankQuery<Rect> for SkylineQuery {
-    /// A partial skyline.
-    type Global = Vec<Tuple>;
+    /// A partial skyline, shared: forwarding it to many links, or passing
+    /// it on unchanged, is a reference-count bump.
+    type Global = Arc<FlatSkyline>;
     /// The local tuples that survive the partial skyline, plus any remote
     /// states folded in by `slow`/`ripple`.
+    ///
+    /// Every `Local` and `Global` value is a skyline with no two members at
+    /// the same point: [`compute_local_state`](RankQuery::compute_local_state)
+    /// returns a subset of one, and both merges keep the property. The
+    /// merges rely on it to skip the SFS pass over their input.
     type Local = Vec<Tuple>;
 
-    fn initial_global(&self) -> Vec<Tuple> {
-        Vec::new()
+    fn initial_global(&self) -> Arc<FlatSkyline> {
+        Arc::default()
     }
 
     /// Algorithm 10: local skyline (of the constraint-qualifying tuples),
     /// thinned by the received global state.
     ///
-    /// On an indexed view the unconstrained local skyline comes from the
-    /// store's incrementally-maintained cache (identical set and order to a
-    /// recompute); constrained queries over a blocked view run the columnar
+    /// On an indexed view the unconstrained local skyline is read in place
+    /// from the store's incrementally-maintained cache (identical set and
+    /// order to a recompute), cloning only the members that survive the
+    /// thinning; constrained queries over a blocked view run the columnar
     /// fold of [`Self::blocked_constrained_state`]; otherwise they filter
     /// and scan.
-    fn compute_local_state(&self, view: &LocalView<'_>, global: &Vec<Tuple>) -> Vec<Tuple> {
-        if let (Some((store, dispatch)), Some(c)) = (view.blocked_store(), &self.constraint) {
+    fn compute_local_state(&self, view: &LocalView<'_>, global: &Arc<FlatSkyline>) -> Vec<Tuple> {
+        let survives = |t: &&Tuple| !global.dominates(t.point.coords());
+        match (view.blocked_store(), view.store(), &self.constraint) {
             // Already thinned by the global state (see the method docs).
-            return self.blocked_constrained_state(store, dispatch, c, global);
-        }
-        let local_sky = match (view.store(), &self.constraint) {
-            (Some(store), None) => store.skyline_at(view.dispatch()),
+            (Some((store, dispatch)), _, Some(c)) => {
+                self.blocked_constrained_state(store, dispatch, c, global)
+            }
+            (_, Some(store), None) => store.with_skyline_at(view.dispatch(), |members| {
+                members.filter(survives).cloned().collect()
+            }),
             _ => {
                 scan::add_scanned(view.tuples().len() as u64);
-                let qualifying: Vec<Tuple> = self
-                    .local_tuples(view.tuples())
+                let inside = |t: &&Tuple| {
+                    self.constraint
+                        .as_ref()
+                        .is_none_or(|c| c.contains(&t.point))
+                };
+                dominance::skyline_refs(view.tuples().iter().filter(inside))
                     .into_iter()
+                    .filter(survives)
                     .cloned()
-                    .collect();
-                dominance::skyline(&qualifying)
+                    .collect()
             }
-        };
-        local_sky
-            .into_iter()
-            .filter(|t| {
-                !global
-                    .iter()
-                    .any(|g| dominance::dominates(&g.point, &t.point))
-            })
-            .collect()
+        }
     }
 
-    /// Algorithm 11: skyline of the union (incremental merge — both inputs
-    /// are already skylines). The borrowed insert builds the merged state
-    /// directly instead of cloning the whole global skyline first.
-    fn compute_global_state(&self, global: &Vec<Tuple>, local: &Vec<Tuple>) -> Vec<Tuple> {
-        dominance::skyline_insert_ref(global, local)
+    /// Algorithm 11: skyline of the union. Both inputs are duplicate-free
+    /// skylines, so the merge needs only the canonical sort of `local`, and
+    /// an empty `local` hands `global` on by reference.
+    fn compute_global_state(
+        &self,
+        global: &Arc<FlatSkyline>,
+        local: &Vec<Tuple>,
+    ) -> Arc<FlatSkyline> {
+        if local.is_empty() {
+            return Arc::clone(global);
+        }
+        Arc::new(global.merged(local))
     }
 
-    /// Algorithm 13: skyline of the union of the states (folded
-    /// incrementally — every input is already a skyline).
+    /// Algorithm 13: skyline of the union of the states, folded
+    /// incrementally without an SFS pass (every input is a duplicate-free
+    /// skyline).
     fn update_local_state(&self, states: Vec<Vec<Tuple>>) -> Vec<Tuple> {
         let mut it = states.into_iter();
         let first = it.next().unwrap_or_default();
-        it.fold(first, |acc, s| dominance::skyline_insert(acc, &s))
+        it.fold(first, dominance::merge_skylines)
     }
 
     /// Algorithm 12: the local tuples among the state. Indexed views answer
@@ -210,20 +200,18 @@ impl RankQuery<Rect> for SkylineQuery {
 
     /// Algorithm 14: prune regions dominated in their entirety, plus — for
     /// constrained queries — regions disjoint from the constraint box.
-    fn is_link_relevant(&self, region: &Rect, global: &Vec<Tuple>) -> bool {
+    fn is_link_relevant(&self, region: &Rect, global: &Arc<FlatSkyline>) -> bool {
         if let Some(c) = &self.constraint {
             if !c.intersects(region) {
                 return false;
             }
         }
-        !global
-            .iter()
-            .any(|s| dominance::dominates_rect(&s.point, region))
+        !global.dominates(region.lo().coords())
     }
 
     /// Algorithm 15: regions closer to the origin first (`d⁻`).
     fn priority(&self, region: &Rect) -> f64 {
-        let origin = ripple_geom::Point::origin(region.dims());
+        let origin = Point::origin(region.dims());
         -Norm::L2.min_dist(region, &origin)
     }
 
@@ -237,17 +225,16 @@ impl RankQuery<Rect> for SkylineQuery {
     /// re-tests the domination geometrically and requires the witness point
     /// to be supported by the final skyline (equal to a member or dominated
     /// by one — dominance chains always end in the skyline).
-    fn prune_witness(&self, region: &Rect, global: &Vec<Tuple>) -> PruneWitness {
+    fn prune_witness(&self, region: &Rect, global: &Arc<FlatSkyline>) -> PruneWitness {
         if let Some(c) = &self.constraint {
             if !c.intersects(region) {
                 return PruneWitness::Disjoint;
             }
         }
         global
-            .iter()
-            .find(|s| dominance::dominates_rect(&s.point, region))
-            .map(|s| PruneWitness::Dominator {
-                point: s.point.clone(),
+            .first_dominator(region.lo().coords())
+            .map(|row| PruneWitness::Dominator {
+                point: Point::from(row),
             })
             .unwrap_or(PruneWitness::Opaque)
     }
@@ -370,14 +357,18 @@ mod tests {
         Tuple::new(id, c.to_vec())
     }
 
+    fn g(members: Vec<Tuple>) -> Arc<FlatSkyline> {
+        Arc::new(FlatSkyline::new(&members))
+    }
+
     #[test]
     fn local_state_is_thinned_by_global() {
         let q = SkylineQuery::new();
         let tuples = vec![t(1, &[0.5, 0.5]), t(2, &[0.9, 0.9])];
-        let global = vec![t(10, &[0.4, 0.4])]; // dominates both
+        let global = g(vec![t(10, &[0.4, 0.4])]); // dominates both
         let s = q.compute_local_state(&LocalView::Plain(&tuples), &global);
         assert!(s.is_empty(), "dominated local tuples must not survive");
-        let s2 = q.compute_local_state(&LocalView::Plain(&tuples), &Vec::new());
+        let s2 = q.compute_local_state(&LocalView::Plain(&tuples), &g(Vec::new()));
         assert_eq!(s2.len(), 1);
         assert_eq!(s2[0].id, 1);
     }
@@ -385,10 +376,11 @@ mod tests {
     #[test]
     fn global_state_merges() {
         let q = SkylineQuery::new();
-        let g = vec![t(1, &[0.1, 0.9])];
-        let l = vec![t(2, &[0.9, 0.1]), t(3, &[0.95, 0.2])];
-        let merged = q.compute_global_state(&g, &l);
-        let mut ids: Vec<u64> = merged.iter().map(|x| x.id).collect();
+        let global = g(vec![t(1, &[0.1, 0.9])]);
+        // a local state is itself a skyline; 3 is dominated by global 1
+        let l = vec![t(2, &[0.9, 0.1]), t(3, &[0.15, 0.95])];
+        let merged = q.compute_global_state(&global, &l);
+        let mut ids: Vec<u64> = merged.ids().to_vec();
         ids.sort_unstable();
         assert_eq!(ids, vec![1, 2]);
     }
@@ -396,13 +388,13 @@ mod tests {
     #[test]
     fn link_pruning_by_domination() {
         let q = SkylineQuery::new();
-        let global = vec![t(1, &[0.2, 0.2])];
+        let global = g(vec![t(1, &[0.2, 0.2])]);
         let dominated = Rect::new(vec![0.5, 0.5], vec![0.9, 0.9]);
         let alive = Rect::new(vec![0.0, 0.5], vec![0.5, 1.0]);
         assert!(!q.is_link_relevant(&dominated, &global));
         assert!(q.is_link_relevant(&alive, &global));
         assert!(
-            q.is_link_relevant(&dominated, &Vec::new()),
+            q.is_link_relevant(&dominated, &g(Vec::new())),
             "empty state prunes nothing"
         );
     }

@@ -9,16 +9,22 @@
 //! the query initiator, so they are heavily exercised; `skyline` uses a
 //! sort-by-sum sweep so that most dominance tests hit early-exit.
 
-use crate::point::{Point, Tuple};
+use crate::point::{Point, Tuple, TupleId};
 use crate::rect::Rect;
+use std::borrow::Borrow;
 
 /// True if `a` dominates `b`: `a` is ≤ on all dimensions and < on at least
 /// one. Lower values are better (the paper's convention).
 pub fn dominates(a: &Point, b: &Point) -> bool {
-    debug_assert_eq!(a.dims(), b.dims());
+    dominates_coords(a.coords(), b.coords())
+}
+
+/// [`dominates`] over raw coordinate slices (rows of a flat buffer).
+#[inline]
+pub(crate) fn dominates_coords(a: &[f64], b: &[f64]) -> bool {
+    debug_assert_eq!(a.len(), b.len());
     let mut strictly = false;
-    for d in 0..a.dims() {
-        let (x, y) = (a.coord(d), b.coord(d));
+    for (x, y) in a.iter().zip(b) {
         if x > y {
             return false;
         }
@@ -27,6 +33,15 @@ pub fn dominates(a: &Point, b: &Point) -> bool {
         }
     }
     strictly
+}
+
+/// True if `a` dominates *or equals* `b` (≤ on every dimension): the test
+/// that keeps `b` out of a skyline already holding `a`, since a skyline
+/// keeps one representative per point. Coordinates are finite, so "≤
+/// everywhere" is exactly "dominates, or equal on every dimension".
+#[inline]
+fn covers(a: &[f64], b: &[f64]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x <= y)
 }
 
 /// True if `s` dominates *every possible tuple* inside `region`
@@ -42,28 +57,47 @@ pub fn dominates_rect(s: &Point, region: &Rect) -> bool {
 /// dominated by one that precedes it in the scan, so a single forward pass
 /// over a growing window suffices (the classic SFS algorithm).
 pub fn skyline(tuples: &[Tuple]) -> Vec<Tuple> {
-    // Precompute the `(coordinate sum, tuple)` sort keys once: O(n·d) sums
-    // plus an O(n log n) sort over ready-made keys, instead of recomputing
-    // both sums inside every comparator call (O(n·d log n)). The keys are
-    // identical to what the comparator computed, so the order — and with it
-    // the canonical output order — is unchanged.
-    let mut order: Vec<(f64, &Tuple)> = tuples
-        .iter()
-        .map(|t| (t.point.coords().iter().sum(), t))
+    skyline_refs(tuples).into_iter().cloned().collect()
+}
+
+/// [`skyline`] over borrowed tuples, returning references in the same
+/// order: callers that go on to thin the result clone only what they keep.
+pub fn skyline_refs<'t>(tuples: impl IntoIterator<Item = &'t Tuple>) -> Vec<&'t Tuple> {
+    skyline_sorted(canonical_keys(tuples).into_iter().map(|(_, t)| t))
+}
+
+/// `tuples` keyed by coordinate sum and stably sorted into the canonical
+/// skyline order: ascending `(coordinate sum, id)`, the sum a left fold in
+/// dimension order. The keys are computed once — O(n·d) sums plus an
+/// O(n log n) sort over ready-made keys, instead of recomputing both sums
+/// inside every comparator call. Equal keys keep input order.
+fn canonical_keys<T: Borrow<Tuple>>(tuples: impl IntoIterator<Item = T>) -> Vec<(f64, T)> {
+    let mut keyed: Vec<(f64, T)> = tuples
+        .into_iter()
+        .map(|t| (coord_sum(t.borrow().point.coords()), t))
         .collect();
-    order.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.id.cmp(&b.1.id)));
-    let mut sky: Vec<Tuple> = Vec::new();
-    'outer: for (_, t) in order {
-        for s in &sky {
-            if dominates(&s.point, &t.point) {
-                continue 'outer;
-            }
-            // Equal points: keep only the first representative.
-            if s.point == t.point {
-                continue 'outer;
-            }
+    keyed.sort_by(|a, b| {
+        a.0.total_cmp(&b.0)
+            .then_with(|| a.1.borrow().id.cmp(&b.1.borrow().id))
+    });
+    keyed
+}
+
+/// The SFS pass of [`skyline`] over tuples already in canonical order (see
+/// [`skyline`]): keeps each tuple no kept one dominates or equals, so exact
+/// duplicates keep their first — minimum-id — representative. The window
+/// is a flat row-major coordinate buffer, so each test walks contiguous
+/// memory instead of chasing one pointer per member. Returns references;
+/// callers clone only what they keep.
+pub fn skyline_sorted<'t>(sorted: impl IntoIterator<Item = &'t Tuple>) -> Vec<&'t Tuple> {
+    let mut window: Vec<f64> = Vec::new();
+    let mut sky = Vec::new();
+    for t in sorted {
+        let c = t.point.coords();
+        if !window.chunks_exact(c.len()).any(|s| covers(s, c)) {
+            window.extend_from_slice(c);
+            sky.push(t);
         }
-        sky.push(t.clone());
     }
     sky
 }
@@ -212,6 +246,211 @@ pub fn skyline_insert_ref(base: &[Tuple], add: &[Tuple]) -> Vec<Tuple> {
         }
     }
     out
+}
+
+/// Coordinate sum in dimension order — the canonical sort key.
+fn coord_sum(c: &[f64]) -> f64 {
+    c.iter().sum()
+}
+
+/// Points held flat for dominance scans: one row `[sum, c₀, …, c_{d−1}]`
+/// per point (the coordinate sum first, then the coordinates), plus the
+/// per-dimension minimum over all rows.
+#[derive(Clone, Debug, Default)]
+struct Rows {
+    data: Vec<f64>,
+    lo: Vec<f64>,
+}
+
+impl Rows {
+    fn with_capacity(rows: usize, dims: usize) -> Self {
+        Self {
+            data: Vec::with_capacity(rows * (dims + 1)),
+            lo: Vec::with_capacity(dims),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.data.len() / (self.lo.len() + 1)
+    }
+
+    fn push(&mut self, sum: f64, c: &[f64]) {
+        if self.data.is_empty() {
+            self.lo.clear();
+            self.lo.extend_from_slice(c);
+        } else {
+            debug_assert_eq!(self.lo.len(), c.len());
+            for (l, x) in self.lo.iter_mut().zip(c) {
+                *l = l.min(*x);
+            }
+        }
+        self.data.push(sum);
+        self.data.extend_from_slice(c);
+    }
+
+    /// `(sum, coordinates)` of each row, in order.
+    fn iter(&self) -> impl Iterator<Item = (f64, &[f64])> + '_ {
+        self.data
+            .chunks_exact(self.lo.len() + 1)
+            .map(|r| (r[0], &r[1..]))
+    }
+
+    /// True if `test(row, c)` holds for one of the first `n` rows, where
+    /// `test` implies the row is ≤ `c` on every dimension (dominance, or
+    /// dominance-or-equality) and `sum` is the sum of `c`. A point below
+    /// the rows' minimum on some dimension passes no such test, and only
+    /// rows with a sum at most `sum` can pass (fp left-fold sums are
+    /// monotone), so both bounds skip the coordinate comparisons.
+    fn any_below(&self, n: usize, c: &[f64], sum: f64, test: fn(&[f64], &[f64]) -> bool) -> bool {
+        if c.iter().zip(&self.lo).any(|(x, l)| x < l) {
+            return false;
+        }
+        self.iter().take(n).any(|(s, row)| s <= sum && test(row, c))
+    }
+
+    /// True if no row dominates or equals another.
+    fn is_strict_skyline(&self) -> bool {
+        let rows: Vec<&[f64]> = self.iter().map(|(_, r)| r).collect();
+        rows.iter()
+            .enumerate()
+            .all(|(i, a)| rows[i + 1..].iter().all(|b| !covers(a, b) && !covers(b, a)))
+    }
+}
+
+/// [`canonical_keys`] of `members`, plus their [`Rows`] in that order. The
+/// members must form a strict skyline (checked in debug builds).
+fn canonical_rows<T: Borrow<Tuple>>(members: impl IntoIterator<Item = T>) -> (Vec<(f64, T)>, Rows) {
+    let keyed = canonical_keys(members);
+    let dims = keyed.first().map_or(0, |(_, t)| t.borrow().dims());
+    let mut rows = Rows::with_capacity(keyed.len(), dims);
+    for (sum, t) in &keyed {
+        rows.push(*sum, t.borrow().point.coords());
+    }
+    debug_assert!(
+        rows.is_strict_skyline(),
+        "merge input is not a strict skyline"
+    );
+    (keyed, rows)
+}
+
+/// [`skyline_insert`] for an `add` that is itself a skyline with no two
+/// members at the same point (as is `base`).
+///
+/// On such an input the SFS pass of [`skyline_insert`] removes nothing and
+/// only sorts, so this skips the quadratic pass and keeps the canonical
+/// sort: the result equals [`skyline_insert`] member for member and in
+/// order — `base` survivors in `base` order, then the admitted additions in
+/// canonical `(sum, id)` order. Both dominance phases scan flat rows, and
+/// admitted additions are moved, not cloned.
+pub fn merge_skylines(mut base: Vec<Tuple>, add: Vec<Tuple>) -> Vec<Tuple> {
+    if add.is_empty() {
+        return base;
+    }
+    let (add, adds) = canonical_rows(add);
+    let mut kept = Rows::with_capacity(base.len(), adds.lo.len());
+    base.retain(|b| {
+        let c = b.point.coords();
+        let sum = coord_sum(c);
+        let survives = !adds.any_below(add.len(), c, sum, dominates_coords);
+        if survives {
+            kept.push(sum, c);
+        }
+        survives
+    });
+    // Additions never cover one another, so testing the base survivors
+    // alone is the same as testing the growing result.
+    for ((sum, a), (_, row)) in add.into_iter().zip(adds.iter()) {
+        if !kept.any_below(kept.len(), row, sum, covers) {
+            base.push(a);
+        }
+    }
+    base
+}
+
+/// An immutable partial skyline held flat: member ids, and one row of
+/// coordinate sum plus coordinates per member, in state order. Dominance
+/// scans walk one contiguous buffer, and building or dropping a state
+/// touches no shared tuple storage.
+///
+/// No member dominates or equals another (checked in debug builds), which
+/// lets [`merged`](FlatSkyline::merged) skip the SFS pass.
+#[derive(Clone, Debug, Default)]
+pub struct FlatSkyline {
+    ids: Vec<TupleId>,
+    rows: Rows,
+}
+
+impl FlatSkyline {
+    /// The partial skyline of `members`, kept in the given order.
+    ///
+    /// # Panics
+    /// In debug builds, if a member dominates or equals another.
+    pub fn new(members: &[Tuple]) -> Self {
+        let mut out = Self::default();
+        for m in members {
+            let c = m.point.coords();
+            out.ids.push(m.id);
+            out.rows.push(coord_sum(c), c);
+        }
+        debug_assert!(out.rows.is_strict_skyline(), "not a strict skyline");
+        out
+    }
+
+    /// The member ids, in state order.
+    pub fn ids(&self) -> &[TupleId] {
+        &self.ids
+    }
+
+    fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// The members' coordinates, one row per member in state order.
+    pub fn rows(&self) -> impl Iterator<Item = &[f64]> + '_ {
+        self.rows.iter().map(|(_, row)| row)
+    }
+
+    /// True if some member dominates the point `q`.
+    pub fn dominates(&self, q: &[f64]) -> bool {
+        self.rows
+            .any_below(self.len(), q, coord_sum(q), dominates_coords)
+    }
+
+    /// The coordinates of the first member, in state order, that dominates
+    /// the point `q`.
+    pub fn first_dominator(&self, q: &[f64]) -> Option<&[f64]> {
+        self.rows().find(|m| dominates_coords(m, q))
+    }
+
+    /// [`skyline_insert_ref`] of this state and `add`, where `add` is a
+    /// skyline with no two members at the same point: the same members in
+    /// the same order (survivors in state order, then the admitted
+    /// additions in canonical order), without the SFS pass over `add`.
+    pub fn merged(&self, add: &[Tuple]) -> Self {
+        if add.is_empty() {
+            return self.clone();
+        }
+        let (add, adds) = canonical_rows(add);
+        let mut out = Self {
+            ids: Vec::with_capacity(self.len() + add.len()),
+            rows: Rows::with_capacity(self.len() + add.len(), adds.lo.len()),
+        };
+        for (&id, (sum, row)) in self.ids.iter().zip(self.rows.iter()) {
+            if !adds.any_below(add.len(), row, sum, dominates_coords) {
+                out.ids.push(id);
+                out.rows.push(sum, row);
+            }
+        }
+        // Additions never cover one another: test the survivors only.
+        let kept = out.len();
+        for ((sum, a), (_, row)) in add.into_iter().zip(adds.iter()) {
+            if !out.rows.any_below(kept, row, sum, covers) {
+                out.ids.push(a.id);
+                out.rows.push(sum, row);
+            }
+        }
+        out
+    }
 }
 
 #[cfg(test)]

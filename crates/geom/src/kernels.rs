@@ -49,6 +49,7 @@
 //! boundary-inclusive box filters. On hardware without a vector unit the
 //! SIMD arm degrades to the scalar loop, so the pinning suites are portable.
 
+use crate::dominance::dominates_coords;
 use crate::norm::Norm;
 use std::sync::OnceLock;
 
@@ -296,21 +297,7 @@ pub fn dominates_raw(d: KernelDispatch, a: &[f64], b: &[f64]) -> bool {
     if a.len() >= 8 && d.simd() {
         return simd::dominates(a, b);
     }
-    dominates_scalar(a, b)
-}
-
-#[inline]
-fn dominates_scalar(a: &[f64], b: &[f64]) -> bool {
-    let mut strictly = false;
-    for (x, y) in a.iter().zip(b) {
-        if x > y {
-            return false;
-        }
-        if x < y {
-            strictly = true;
-        }
-    }
-    strictly
+    dominates_coords(a, b)
 }
 
 /// True when any member of `window` dominates `q` — the batched form of the
@@ -326,7 +313,7 @@ pub fn dominated_by_any<'a>(
     if q.len() >= 8 && d.simd() {
         window.into_iter().any(|m| simd::dominates(m, q))
     } else {
-        window.into_iter().any(|m| dominates_scalar(m, q))
+        window.into_iter().any(|m| dominates_coords(m, q))
     }
 }
 

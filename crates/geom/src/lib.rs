@@ -39,7 +39,7 @@ pub mod zorder;
 pub use diversity::{DiversityQuery, SetStats};
 pub use dominance::{
     constrained_skyline, dominates, dominates_rect, skyband, skyline, skyline_fold, skyline_insert,
-    skyline_merge,
+    skyline_merge, FlatSkyline,
 };
 pub use kernels::KernelDispatch;
 pub use norm::Norm;

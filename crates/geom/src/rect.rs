@@ -106,9 +106,22 @@ impl Rect {
     }
 
     /// Intersection of the two boxes, or `None` if it has zero measure.
+    ///
+    /// When one box contains the other — the common case on overlays whose
+    /// link regions nest inside restriction areas — the result is a clone
+    /// of the inner box (a reference-count bump per corner), with no
+    /// allocation. The coordinates are the ones the general path computes:
+    /// there, every `max`/`min` returns an operand, which containment
+    /// fixes to the inner box's.
     pub fn intersection(&self, other: &Rect) -> Option<Rect> {
         if !self.intersects(other) {
             return None;
+        }
+        if other.contains_rect(self) {
+            return Some(self.clone());
+        }
+        if self.contains_rect(other) {
+            return Some(other.clone());
         }
         let lo: Vec<f64> = (0..self.dims())
             .map(|d| self.lo.coord(d).max(other.lo.coord(d)))

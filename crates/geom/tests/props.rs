@@ -206,3 +206,133 @@ fn bitpath_volume_by_depth() {
         assert!((vol - expect).abs() < 1e-12);
     }
 }
+
+/// Tuples on a coarse grid (many coordinate-sum ties and exact duplicate
+/// points), ids starting at `first_id`.
+fn grid_tuples(g: &mut Gen, n: usize, dims: usize, first_id: u64) -> Vec<Tuple> {
+    (0..n)
+        .map(|i| {
+            let c: Vec<f64> = (0..dims).map(|_| (g.next_u64() % 9) as f64 / 8.0).collect();
+            Tuple::new(first_id + i as u64, c)
+        })
+        .collect()
+}
+
+/// A base skyline and a strict-skyline addition, some of whose members sit
+/// exactly on base points (under other ids).
+fn skyline_pair(g: &mut Gen) -> (Vec<Tuple>, Vec<Tuple>) {
+    let dims = g.usize_in(2, 5);
+    let base_n = g.usize_in(0, 40);
+    let add_n = g.usize_in(0, 12);
+    let base = dominance::skyline(&grid_tuples(g, base_n, dims, 0));
+    let mut add = grid_tuples(g, add_n, dims, 1000);
+    for (i, b) in base.iter().enumerate().filter(|(i, _)| i % 3 == 0) {
+        add.push(Tuple::new(2000 + i as u64, b.point.clone()));
+    }
+    (base, dominance::skyline(&add))
+}
+
+/// The skyline-input merges equal the general-input inserts member for
+/// member and in order — across exact duplicates between base and add,
+/// and coordinate-sum ties — and the flat state answers dominance probes
+/// like a scan over its members.
+#[test]
+fn skyline_input_merges_equal_general_inserts() {
+    for seed in 0..CASES {
+        let mut g = Gen::new(9000 + seed);
+        let (base, add) = skyline_pair(&mut g);
+        let owned = dominance::skyline_insert(base.clone(), &add);
+        assert_eq!(
+            dominance::merge_skylines(base.clone(), add.clone()),
+            owned,
+            "seed {seed}"
+        );
+
+        let flat = dominance::FlatSkyline::new(&base).merged(&add);
+        let borrowed = dominance::skyline_insert_ref(&base, &add);
+        let ids: Vec<u64> = borrowed.iter().map(|t| t.id).collect();
+        assert_eq!(flat.ids(), &ids[..], "seed {seed}");
+        assert!(flat.rows().eq(borrowed.iter().map(|t| t.point.coords())));
+
+        let dims = add.first().or(base.first()).map_or(2, Tuple::dims);
+        for _ in 0..16 {
+            let q = g.point(dims);
+            let first = borrowed
+                .iter()
+                .find(|m| dominance::dominates(&m.point, &q))
+                .map(|m| m.point.coords());
+            assert_eq!(flat.first_dominator(q.coords()), first, "seed {seed}");
+            assert_eq!(flat.dominates(q.coords()), first.is_some(), "seed {seed}");
+        }
+    }
+}
+
+/// The flat-window SFS skyline equals a naive definition: the
+/// non-dominated tuples, one minimum-id representative per point, ordered
+/// by `(coordinate sum, id)`.
+#[test]
+fn skyline_equals_naive_reference() {
+    for seed in 0..CASES {
+        let mut g = Gen::new(10_000 + seed);
+        let dims = g.usize_in(1, 5);
+        let n = g.usize_in(0, 60);
+        let data = grid_tuples(&mut g, n, dims, 0);
+        let mut naive: Vec<Tuple> = data
+            .iter()
+            .filter(|t| {
+                data.iter().all(|o| {
+                    !dominance::dominates(&o.point, &t.point)
+                        && (o.point != t.point || o.id >= t.id)
+                })
+            })
+            .cloned()
+            .collect();
+        let sum = |t: &Tuple| -> f64 { t.point.coords().iter().sum() };
+        naive.sort_by(|a, b| sum(a).total_cmp(&sum(b)).then(a.id.cmp(&b.id)));
+        assert_eq!(dominance::skyline(&data), naive, "seed {seed}");
+    }
+}
+
+/// `Rect::intersection` agrees with the coordinate-wise max/min definition
+/// on nested boxes (the containment shortcut), on overlapping ones, and
+/// yields `None` on face contact.
+#[test]
+fn rect_intersection_paths_agree() {
+    let general = |a: &Rect, b: &Rect| {
+        let lo: Vec<f64> = (0..a.dims())
+            .map(|d| a.lo().coord(d).max(b.lo().coord(d)))
+            .collect();
+        let hi: Vec<f64> = (0..a.dims())
+            .map(|d| a.hi().coord(d).min(b.hi().coord(d)))
+            .collect();
+        Rect::new(lo, hi)
+    };
+    for seed in 0..CASES {
+        let mut g = Gen::new(11_000 + seed);
+        let dims = g.usize_in(1, 5);
+        let a = g.rect(dims);
+        let b = g.rect(dims);
+        // a box nested in `a`: a random box scaled into a's extent
+        let inner = Rect::new(
+            (0..dims)
+                .map(|d| a.lo().coord(d) + a.side(d) * b.lo().coord(d))
+                .collect::<Vec<_>>(),
+            (0..dims)
+                .map(|d| a.lo().coord(d) + a.side(d) * b.hi().coord(d))
+                .collect::<Vec<_>>(),
+        );
+        for (x, y) in [(&a, &b), (&a, &inner), (&inner, &a), (&a, &a)] {
+            let expect = x.intersects(y).then(|| general(x, y));
+            assert_eq!(x.intersection(y), expect, "seed {seed}");
+        }
+        // face contact: b shifted to start where a ends on one dimension
+        let d = g.usize_in(0, dims);
+        let mut lo = a.lo().coords().to_vec();
+        let mut hi = a.hi().coords().to_vec();
+        lo[d] = a.hi().coord(d);
+        hi[d] = a.hi().coord(d) + 0.5;
+        let touching = Rect::new(lo, hi);
+        assert_eq!(a.intersection(&touching), None, "seed {seed}");
+        assert_eq!(touching.intersection(&a), None, "seed {seed}");
+    }
+}

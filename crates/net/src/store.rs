@@ -654,10 +654,26 @@ impl PeerStore {
     /// for any rebuild the call triggers. Bit-identical results either way
     /// (the kernel contract); the equivalence suites use the forced arms.
     pub fn skyline_at(&self, dispatch: KernelDispatch) -> Vec<Tuple> {
+        self.with_skyline_at(dispatch, |members| members.cloned().collect())
+    }
+
+    /// Hands `f` the cached local skyline of [`skyline_at`] by reference,
+    /// in the same canonical order, so a caller that keeps only some
+    /// members (a query thinning the skyline by its state) clones just
+    /// those. Runs under the cache lock (shared once the skyline is built):
+    /// `f` must not call back into cache-using methods of the same store
+    /// (`skyline`, `with_ranked`).
+    ///
+    /// [`skyline_at`]: PeerStore::skyline_at
+    pub fn with_skyline_at<R>(
+        &self,
+        dispatch: KernelDispatch,
+        f: impl FnOnce(&mut dyn Iterator<Item = &Tuple>) -> R,
+    ) -> R {
         {
             let cache = self.cache.read().expect("peer cache poisoned");
             if let Some(members) = &cache.skyline {
-                return members.iter().map(|(_, t)| t.clone()).collect();
+                return f(&mut members.iter().map(|(_, t)| t));
             }
         }
         let mut cache = self.cache.write().expect("peer cache poisoned");
@@ -674,7 +690,7 @@ impl PeerStore {
             cache.skyline = Some(members);
         }
         let members = cache.skyline.as_ref().expect("just built");
-        members.iter().map(|(_, t)| t.clone()).collect()
+        f(&mut members.iter().map(|(_, t)| t))
     }
 
     /// The columnar (structure-of-arrays) snapshot of this store at the

@@ -20,6 +20,12 @@ cargo test --workspace --offline
 echo "== cargo build --release (tier-1 gate) =="
 cargo build --release --workspace --offline
 
+echo "== benchmark build (perfbench is its own workspace) =="
+# The repo benchmark builds the library crates through path dependencies
+# from a workspace of its own, so the workspace steps above never compile
+# it; a library change that breaks it would otherwise go unnoticed.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== parallel-exec smoke (sequential == parallel, thread-scaling gate) =="
 cargo run --release --offline -p ripple-bench --bin parallel_exec_bench -- --smoke
 cargo run --release --offline -p ripple-bench --bin parallel_exec_bench -- --smoke --threads 1
