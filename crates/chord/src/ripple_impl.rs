@@ -51,23 +51,20 @@ impl RippleOverlay for ChordNetwork {
     }
 
     fn peer_links(&self, peer: PeerId) -> Vec<(PeerId, Vec<Rect>)> {
-        let fingers = self.fingers(peer);
+        let fingers = self.finger_ranks(peer);
         if fingers.is_empty() {
             return Vec::new();
         }
         // region of finger i: from its zone start to the next finger's zone
         // start; the last region closes the ring at w's own zone start.
-        let start_of = |p: PeerId| self.peer(p).position;
-        let own_start = start_of(peer);
+        let own_start = self.peer(peer).position;
         let mut links = Vec::with_capacity(fingers.len());
         for (i, &f) in fingers.iter().enumerate() {
-            let from = start_of(f);
-            let to = if i + 1 < fingers.len() {
-                start_of(fingers[i + 1])
-            } else {
-                own_start
-            };
-            links.push((f, arc_segments(from, to)));
+            let from = self.position_at(f);
+            let to = fingers
+                .get(i + 1)
+                .map_or(own_start, |&next| self.position_at(next));
+            links.push((self.ring()[f], arc_segments(from, to)));
         }
         links
     }
