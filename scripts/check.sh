@@ -89,6 +89,13 @@ RIPPLE_KERNEL_DISPATCH=scalar cargo test --release --offline -p ripple-geom --qu
 RIPPLE_KERNEL_DISPATCH=simd cargo test --release --offline -p ripple-geom --quiet
 RIPPLE_KERNEL_DISPATCH=scalar cargo test --release --offline -p ripple-core kernel_equivalence -- --quiet
 RIPPLE_KERNEL_DISPATCH=simd cargo test --release --offline -p ripple-core kernel_equivalence -- --quiet
+# The pinned outcome digests (seeded skyline and top-k runs on MIDAS, top-k
+# on a Chord ring) must hold on both arms too: a kernel or ranking change
+# that moves one answer, ledger or certificate shows here.
+RIPPLE_KERNEL_DISPATCH=scalar cargo test --release --offline -p ripple-core outcome_digest_is_pinned -- --quiet
+RIPPLE_KERNEL_DISPATCH=simd cargo test --release --offline -p ripple-core outcome_digest_is_pinned -- --quiet
+RIPPLE_KERNEL_DISPATCH=scalar cargo test --release --offline -p ripple-chord --test parallel ring_outcome_digest_is_pinned -- --quiet
+RIPPLE_KERNEL_DISPATCH=simd cargo test --release --offline -p ripple-chord --test parallel ring_outcome_digest_is_pinned -- --quiet
 cargo run --release --offline -p ripple-bench --bin kernel_microbench -- --quick
 cargo run --release --offline -p ripple-bench --bin planner_bench -- --quick
 
