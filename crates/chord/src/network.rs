@@ -231,8 +231,10 @@ impl ChordNetwork {
         }
         let rank = self.rank_of_peer(id);
         let pos = self.pos[rank];
-        let mut out = vec![(rank + 1) % self.ring.len()];
-        for j in (1..=self.finger_count()).rev() {
+        let count = self.finger_count();
+        let mut out = Vec::with_capacity(count as usize + 1);
+        out.push((rank + 1) % self.ring.len());
+        for j in (1..=count).rev() {
             let target = (pos + (0.5f64).powi(j as i32)).fract();
             let f = self.rank_of_key(target);
             if f != rank && !out.contains(&f) {

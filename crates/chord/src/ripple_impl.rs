@@ -14,21 +14,57 @@ use ripple_core::framework::RippleOverlay;
 use ripple_geom::{Rect, Tuple};
 use ripple_net::{LocalView, PeerId};
 
-/// Clockwise arc `[from, to)` as up to two linear segments.
-fn arc_segments(from: f64, to: f64) -> Vec<Rect> {
-    if from < to {
-        vec![Rect::new(vec![from], vec![to])]
+/// Clockwise arc `[from, to)` as up to two linear `(lo, hi)` pieces.
+fn arc_pieces(from: f64, to: f64) -> impl Iterator<Item = (f64, f64)> {
+    let pieces = if from < to {
+        [Some((from, to)), None]
     } else {
         // wraps the origin
-        let mut segs = Vec::with_capacity(2);
-        if from < 1.0 {
-            segs.push(Rect::new(vec![from], vec![1.0]));
-        }
-        if to > 0.0 {
-            segs.push(Rect::new(vec![0.0], vec![to]));
-        }
-        segs
+        [
+            (from < 1.0).then_some((from, 1.0)),
+            (to > 0.0).then_some((0.0, to)),
+        ]
+    };
+    pieces.into_iter().flatten()
+}
+
+/// Clockwise arc `[from, to)` as up to two linear segments.
+fn arc_segments(from: f64, to: f64) -> Vec<Rect> {
+    arc_pieces(from, to)
+        .map(|(lo, hi)| Rect::new(vec![lo], vec![hi]))
+        .collect()
+}
+
+/// `[lo, hi]` intersected with the segment `seg`: exactly
+/// `Rect::intersection` of the two boxes, without building the first one
+/// unless it is the answer.
+fn clip(lo: f64, hi: f64, seg: &Rect) -> Option<Rect> {
+    let (slo, shi) = (seg.lo().coord(0), seg.hi().coord(0));
+    if !(lo < shi && slo < hi) {
+        return None;
     }
+    if slo <= lo && hi <= shi {
+        return Some(Rect::new(vec![lo], vec![hi]));
+    }
+    if lo <= slo && shi <= hi {
+        return Some(seg.clone());
+    }
+    Some(Rect::new(vec![lo.max(slo)], vec![hi.min(shi)]))
+}
+
+/// The finger links of `peer` as `(target, from, to)` arcs: finger `i`'s
+/// region runs from its zone start to the next finger's zone start; the
+/// last one closes the ring at `peer`'s own zone start.
+fn finger_arcs(net: &ChordNetwork, peer: PeerId) -> impl Iterator<Item = (PeerId, f64, f64)> + '_ {
+    let fingers = net.finger_ranks(peer);
+    let own_start = net.peer(peer).position;
+    (0..fingers.len()).map(move |i| {
+        let from = net.position_at(fingers[i]);
+        let to = fingers
+            .get(i + 1)
+            .map_or(own_start, |&next| net.position_at(next));
+        (net.ring()[fingers[i]], from, to)
+    })
 }
 
 impl RippleOverlay for ChordNetwork {
@@ -51,22 +87,22 @@ impl RippleOverlay for ChordNetwork {
     }
 
     fn peer_links(&self, peer: PeerId) -> Vec<(PeerId, Vec<Rect>)> {
-        let fingers = self.finger_ranks(peer);
-        if fingers.is_empty() {
-            return Vec::new();
-        }
-        // region of finger i: from its zone start to the next finger's zone
-        // start; the last region closes the ring at w's own zone start.
-        let own_start = self.peer(peer).position;
-        let mut links = Vec::with_capacity(fingers.len());
-        for (i, &f) in fingers.iter().enumerate() {
-            let from = self.position_at(f);
-            let to = fingers
-                .get(i + 1)
-                .map_or(own_start, |&next| self.position_at(next));
-            links.push((self.ring()[f], arc_segments(from, to)));
-        }
-        links
+        finger_arcs(self, peer)
+            .map(|(t, from, to)| (t, arc_segments(from, to)))
+            .collect()
+    }
+
+    /// Clips each finger arc's pieces against the restriction segments
+    /// directly, building boxes only for the kept pieces.
+    fn links_within(&self, peer: PeerId, restriction: &Vec<Rect>) -> Vec<(PeerId, Vec<Rect>)> {
+        finger_arcs(self, peer)
+            .filter_map(|(t, from, to)| {
+                let segs: Vec<Rect> = arc_pieces(from, to)
+                    .flat_map(|(lo, hi)| restriction.iter().filter_map(move |b| clip(lo, hi, b)))
+                    .collect();
+                (!segs.is_empty()).then_some((t, segs))
+            })
+            .collect()
     }
 
     fn peer_count(&self) -> usize {
@@ -196,6 +232,88 @@ mod tests {
         assert_eq!(wrapped.len(), 2);
         let total: f64 = wrapped.iter().map(|r| r.side(0)).sum();
         assert!((total - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn arc_pieces_cover_the_arc() {
+        let pieces: Vec<(f64, f64)> = arc_pieces(0.2, 0.7).collect();
+        assert_eq!(pieces, vec![(0.2, 0.7)]);
+        let wrapped: Vec<(f64, f64)> = arc_pieces(0.7, 0.2).collect();
+        assert_eq!(wrapped, vec![(0.7, 1.0), (0.0, 0.2)]);
+        assert_eq!(arc_pieces(0.0, 0.0).collect::<Vec<_>>(), vec![(0.0, 1.0)]);
+    }
+
+    /// The default `links_within`: `peer_links` filtered through
+    /// `region_intersect`.
+    fn composed(
+        net: &ChordNetwork,
+        peer: PeerId,
+        restriction: &Vec<Rect>,
+    ) -> Vec<(PeerId, Vec<Rect>)> {
+        net.peer_links(peer)
+            .into_iter()
+            .filter_map(|(t, r)| net.region_intersect(&r, restriction).map(|i| (t, i)))
+            .collect()
+    }
+
+    /// Links with their segments as `(lo, hi)` bits, for bit-exact
+    /// comparison.
+    fn exact(links: Vec<(PeerId, Vec<Rect>)>) -> Vec<(PeerId, Vec<(u64, u64)>)> {
+        links
+            .into_iter()
+            .map(|(t, segs)| {
+                let bits = segs
+                    .iter()
+                    .map(|s| (s.lo().coord(0).to_bits(), s.hi().coord(0).to_bits()))
+                    .collect();
+                (t, bits)
+            })
+            .collect()
+    }
+
+    /// The override equals the default composition under the restrictions
+    /// a ring walk forwards (finger arcs, wrapping ones included), the
+    /// trimmed arcs `adopt_segments` hands a failover target (two segments
+    /// when the arc wraps), and random wrapping arcs.
+    #[test]
+    fn links_within_matches_composition() {
+        let mut rng = SmallRng::seed_from_u64(22);
+        let mut net = ChordNetwork::build(48, &mut rng);
+        for _ in 0..4 {
+            let victim = net.random_peer(&mut rng);
+            if victim != net.ring()[0] {
+                net.crash(victim);
+            }
+        }
+        let mut restrictions = vec![net.full_region()];
+        for &p in net.ring() {
+            for (_, region) in net.peer_links(p) {
+                let mut tried = Vec::new();
+                while let Some((adopter, sub)) = net.adopt_segments(&region, &tried) {
+                    restrictions.push(sub);
+                    tried.push(adopter);
+                    if tried.len() == 3 {
+                        break;
+                    }
+                }
+                restrictions.push(region);
+            }
+        }
+        for _ in 0..40 {
+            let (a, b) = (rng.gen::<f64>(), rng.gen::<f64>());
+            restrictions.push(arc_segments(a.max(b), a.min(b)));
+        }
+        let wrapping = restrictions.iter().filter(|r| r.len() == 2).count();
+        assert!(wrapping > 40, "{wrapping} two-segment restrictions");
+        for &p in net.ring() {
+            for r in &restrictions {
+                assert_eq!(
+                    exact(net.links_within(p, r)),
+                    exact(composed(&net, p, r)),
+                    "{p:?} in {r:?}"
+                );
+            }
+        }
     }
 
     #[test]

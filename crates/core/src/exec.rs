@@ -678,11 +678,7 @@ impl<'a, O: RippleOverlay, Q: RankQuery<O::Region>> Walk<'a, O, Q> {
         let local = with_scan(exec.trace, &mut ledger.metrics, || {
             self.query.compute_local_state(&view, global)
         });
-        let links: Links<O::Region> = net
-            .peer_links(w)
-            .into_iter()
-            .filter_map(|(t, region)| net.region_intersect(&region, &restriction).map(|r| (t, r)))
-            .collect();
+        let links = net.links_within(w, &restriction);
         let scan_tile = exec.certify_scan(w, &restriction, &links, ledger);
         Visit {
             w,

@@ -166,10 +166,9 @@ impl<'a, O: RippleOverlay> Executor<'a, O> {
     ) {
         let covered = neumaier(
             self.net
-                .peer_links(w)
-                .into_iter()
-                .filter_map(|(_, region)| self.net.region_intersect(&region, restriction))
-                .map(|rr| self.net.region_volume(&rr)),
+                .links_within(w, restriction)
+                .iter()
+                .map(|(_, rr)| self.net.region_volume(rr)),
         );
         let volume = self.net.region_volume(restriction) - covered;
         if let Some(set) = self.replica_set() {

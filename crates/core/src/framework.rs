@@ -38,6 +38,24 @@ pub trait RippleOverlay {
     /// The regions of all links plus the peer's zone partition the domain.
     fn peer_links(&self, peer: PeerId) -> Vec<(PeerId, Self::Region)>;
 
+    /// The links of `peer` restricted to `restriction`: every link whose
+    /// region meets it, in link order, paired with the intersection —
+    /// element for element `peer_links` filtered through
+    /// `region_intersect`. This is what every peer visit asks for, so
+    /// substrates may override it to skip building the regions of links
+    /// the restriction drops; an override must return exactly what the
+    /// default does.
+    fn links_within(
+        &self,
+        peer: PeerId,
+        restriction: &Self::Region,
+    ) -> Vec<(PeerId, Self::Region)> {
+        self.peer_links(peer)
+            .into_iter()
+            .filter_map(|(t, region)| self.region_intersect(&region, restriction).map(|r| (t, r)))
+            .collect()
+    }
+
     /// Number of peers currently in the overlay. The executor uses it to
     /// pre-size the per-query visited set (one entry per peer in the worst
     /// case — broadcast visits everyone) and the parallel engine to shard

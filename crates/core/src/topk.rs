@@ -228,7 +228,7 @@ impl<F: ScoreFn> RankQuery<Rect> for TopKQuery<F> {
     /// mirror; otherwise a scalar scan + sort.
     fn compute_local_state(&self, view: &LocalView<'_>, global: &TopKState) -> TopKState {
         if let Some(store) = view.store() {
-            if let Some(state) = store.with_ranked_at(&self.score, view.dispatch(), |it| {
+            if let Some(state) = store.with_ranked(&self.score, |it| {
                 self.state_from_ranked(it.map(|(_, s)| s), store.len(), global)
             }) {
                 return state;
@@ -294,7 +294,7 @@ impl<F: ScoreFn> RankQuery<Rect> for TopKQuery<F> {
             return Vec::new();
         }
         if let Some(store) = view.store() {
-            if let Some(answer) = store.with_ranked_at(&self.score, view.dispatch(), |it| {
+            if let Some(answer) = store.with_ranked(&self.score, |it| {
                 it.take_while(|(_, s)| *s >= local.tau)
                     .map(|(t, _)| t.clone())
                     .collect::<Vec<Tuple>>()

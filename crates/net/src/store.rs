@@ -51,14 +51,15 @@ use crate::block::{BlockEntry, BlockSet, RunData, BLOCK_ROWS};
 use crate::hash::{FxHashMap, FxHashSet};
 use crate::scan;
 use ripple_geom::{dominance, kernels, KernelDispatch, Point, ScoreFn, Tuple, TupleId};
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// Retain at most this many score projections per peer. Stale entries are
 /// dropped first; if a workload really uses more *live* scoring functions
 /// than this per peer, the least-recently-hit live projection is evicted —
-/// correctness never depends on a cache hit.
+/// correctness never depends on a cache hit. The slots are few enough that
+/// a linear scan of their keys finds one faster than hashing would.
 const MAX_PROJECTIONS: usize = 16;
 
 /// One frozen run of the store: an immutable columnar block of rows plus
@@ -117,8 +118,10 @@ impl Clone for Projection {
 /// The lazily-populated caches of one peer store.
 #[derive(Debug, Default)]
 struct IndexCache {
-    /// Score-sorted projections keyed by [`ScoreFn::cache_key`].
-    projections: HashMap<u64, Projection>,
+    /// Score-sorted projections as `(ScoreFn::cache_key, projection)`
+    /// slots, at most [`MAX_PROJECTIONS`], keys unique, in no particular
+    /// order.
+    projections: Vec<(u64, Projection)>,
     /// Monotone logical clock stamping projection hits (LRU order).
     clock: AtomicU64,
     /// The local skyline in canonical order, as `(coordinate sum, tuple)`.
@@ -130,6 +133,11 @@ struct IndexCache {
 }
 
 impl IndexCache {
+    /// The slot holding the projection for `key`, if any.
+    fn slot(&self, key: u64) -> Option<usize> {
+        self.projections.iter().position(|(k, _)| *k == key)
+    }
+
     /// Stamps `proj` as hit now. Callable under the shared read lock.
     fn touch(&self, proj: &Projection) {
         let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
@@ -815,33 +823,26 @@ impl PeerStore {
     /// The closure must not call back into cache-using methods of the same
     /// store (`skyline`, `with_ranked`).
     ///
+    /// Projection builds are scalar scoring passes, which the kernel
+    /// contract makes bit-identical to every dispatch arm, so the shared
+    /// cache never depends on which arm the caller runs.
+    ///
     /// [`tuples`]: PeerStore::tuples
     pub fn with_ranked<R>(
         &self,
         score: &dyn ScoreFn,
         f: impl FnOnce(&mut dyn Iterator<Item = (&Tuple, f64)>) -> R,
     ) -> Option<R> {
-        self.with_ranked_at(score, KernelDispatch::Auto, f)
-    }
-
-    /// [`with_ranked`](PeerStore::with_ranked) with an explicit kernel
-    /// dispatch arm, accepted for symmetry with the other `_at` entry
-    /// points: projection builds are scalar scoring passes, which the
-    /// kernel contract guarantees bit-identical to every dispatch arm, so
-    /// the shared cache never depends on who built it.
-    pub fn with_ranked_at<R>(
-        &self,
-        score: &dyn ScoreFn,
-        dispatch: KernelDispatch,
-        f: impl FnOnce(&mut dyn Iterator<Item = (&Tuple, f64)>) -> R,
-    ) -> Option<R> {
-        let _ = dispatch;
         let key = score.cache_key()?;
         debug_assert!(self.tuples.len() < u32::MAX as usize);
+        let fresh = |p: &Projection| {
+            p.runs_stamp == self.runs_version && p.tail_built_at == self.generation
+        };
         {
             let cache = self.cache.read().expect("peer cache poisoned");
-            if let Some(proj) = cache.projections.get(&key) {
-                if proj.runs_stamp == self.runs_version && proj.tail_built_at == self.generation {
+            if let Some(i) = cache.slot(key) {
+                let proj = &cache.projections[i].1;
+                if fresh(proj) {
                     cache.touch(proj);
                     let mut it = self.ranked_merge(proj);
                     return Some(f(&mut it));
@@ -850,40 +851,43 @@ impl PeerStore {
         }
         let mut guard = self.cache.write().expect("peer cache poisoned");
         let cache = &mut *guard;
-        // Double-check under the write lock: another thread may have
-        // refreshed the projection while we waited for exclusivity.
-        let fresh = matches!(
-            cache.projections.get(&key),
-            Some(p) if p.runs_stamp == self.runs_version && p.tail_built_at == self.generation
-        );
-        if !fresh {
-            if !cache.projections.contains_key(&key) && cache.projections.len() >= MAX_PROJECTIONS {
-                let (generation, runs_version) = (self.generation, self.runs_version);
-                cache
-                    .projections
-                    .retain(|_, p| p.runs_stamp == runs_version && p.tail_built_at == generation);
-                while cache.projections.len() >= MAX_PROJECTIONS {
-                    // Every survivor is live: evict the least-recently-hit
-                    // one (ties broken by key for determinism).
-                    let lru = cache
-                        .projections
-                        .iter()
-                        .min_by_key(|(k, p)| (p.last_hit.load(Ordering::Relaxed), **k))
-                        .map(|(k, _)| *k)
-                        .expect("len >= MAX_PROJECTIONS > 0");
-                    cache.projections.remove(&lru);
+        // Re-find under the write lock: another thread may have added or
+        // refreshed the projection while we waited for exclusivity. A stale
+        // slot is refreshed in place.
+        let i = match cache.slot(key) {
+            Some(i) => i,
+            None => {
+                if cache.projections.len() >= MAX_PROJECTIONS {
+                    cache.projections.retain(|(_, p)| fresh(p));
+                    while cache.projections.len() >= MAX_PROJECTIONS {
+                        // Every survivor is live: evict the least-recently-
+                        // hit one (ties broken by key for determinism).
+                        let lru = (0..cache.projections.len())
+                            .min_by_key(|&j| {
+                                let (k, p) = &cache.projections[j];
+                                (p.last_hit.load(Ordering::Relaxed), *k)
+                            })
+                            .expect("len >= MAX_PROJECTIONS > 0");
+                        cache.projections.swap_remove(lru);
+                    }
                 }
+                cache.projections.push((
+                    key,
+                    Projection {
+                        last_hit: AtomicU64::new(0),
+                        runs_stamp: u64::MAX,
+                        tail_built_at: u64::MAX,
+                        runs: FxHashMap::default(),
+                        tail: Arc::new(Vec::new()),
+                    },
+                ));
+                cache.projections.len() - 1
             }
-            let proj = cache.projections.entry(key).or_insert_with(|| Projection {
-                last_hit: AtomicU64::new(0),
-                runs_stamp: u64::MAX,
-                tail_built_at: u64::MAX,
-                runs: FxHashMap::default(),
-                tail: Arc::new(Vec::new()),
-            });
-            self.refresh_projection(proj, score);
+        };
+        if !fresh(&cache.projections[i].1) {
+            self.refresh_projection(&mut cache.projections[i].1, score);
         }
-        let proj = &cache.projections[&key];
+        let proj = &cache.projections[i].1;
         cache.touch(proj);
         let mut it = self.ranked_merge(proj);
         Some(f(&mut it))
@@ -927,8 +931,14 @@ impl PeerStore {
     /// memtable last) and the heap breaks score ties toward the earliest
     /// source; entries within a source already break ties by position — so
     /// the merged sequence is *exactly* the stable descending sort of the
-    /// logical tuple vector.
+    /// logical tuple vector. A store with no live run row (memtable only,
+    /// or every run fully tombstoned) walks the memtable entries directly,
+    /// without a heap.
     fn ranked_merge<'a>(&'a self, proj: &'a Projection) -> RankedMerge<'a> {
+        let tail = self.tail_cursor(proj);
+        if self.runs.iter().all(|run| run.live == 0) {
+            return RankedMerge::Single(tail);
+        }
         let mut sources = Vec::with_capacity(self.runs.len() + 1);
         for run in &self.runs {
             if run.live == 0 {
@@ -946,20 +956,19 @@ impl PeerStore {
                 memtable: false,
             });
         }
-        sources.push(RankedCursor {
+        sources.push(tail);
+        RankedMerge::merge(sources)
+    }
+
+    /// The ranked-walk source over the memtable tail's entries.
+    fn tail_cursor<'a>(&'a self, proj: &'a Projection) -> RankedCursor<'a> {
+        RankedCursor {
             entries: &proj.tail,
             pos: 0,
             dead: None,
             rows: &self.tuples[self.frozen_live..],
             memtable: true,
-        });
-        let mut heap = BinaryHeap::with_capacity(sources.len());
-        for (src, cur) in sources.iter_mut().enumerate() {
-            if let Some(score) = cur.settle() {
-                heap.push(Head { score, src });
-            }
         }
-        RankedMerge { sources, heap }
     }
 }
 
@@ -973,7 +982,7 @@ struct RankedCursor<'a> {
     memtable: bool,
 }
 
-impl RankedCursor<'_> {
+impl<'a> RankedCursor<'a> {
     /// Advances past tombstoned entries; returns the score now at the
     /// cursor, or `None` when exhausted.
     fn settle(&mut self) -> Option<f64> {
@@ -986,6 +995,16 @@ impl RankedCursor<'_> {
             return Some(score);
         }
         None
+    }
+
+    /// Emits the settled entry at the cursor and steps past it.
+    fn take(&mut self) -> (&'a Tuple, f64) {
+        let (score, i) = self.entries[self.pos];
+        if self.memtable {
+            scan::add_memtable(1);
+        }
+        self.pos += 1;
+        (&self.rows[i as usize], score)
     }
 }
 
@@ -1021,31 +1040,52 @@ impl Ord for Head {
 
 /// Lazy descending-score walk over a store's merged (runs ∪ memtable)
 /// view; see [`PeerStore::with_ranked`].
-struct RankedMerge<'a> {
-    sources: Vec<RankedCursor<'a>>,
-    heap: BinaryHeap<Head>,
+enum RankedMerge<'a> {
+    /// The only source with live rows: its entries are the walk, in order.
+    Single(RankedCursor<'a>),
+    /// A k-way merge over the live runs and the memtable.
+    Merge {
+        sources: Vec<RankedCursor<'a>>,
+        heap: BinaryHeap<Head>,
+    },
+}
+
+impl<'a> RankedMerge<'a> {
+    /// The heap-driven merge over store-ordered `sources`.
+    fn merge(mut sources: Vec<RankedCursor<'a>>) -> Self {
+        let mut heap = BinaryHeap::with_capacity(sources.len());
+        for (src, cur) in sources.iter_mut().enumerate() {
+            if let Some(score) = cur.settle() {
+                heap.push(Head { score, src });
+            }
+        }
+        RankedMerge::Merge { sources, heap }
+    }
 }
 
 impl<'a> Iterator for RankedMerge<'a> {
     type Item = (&'a Tuple, f64);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let head = self.heap.pop()?;
-        let cur = &mut self.sources[head.src];
-        let (score, i) = cur.entries[cur.pos];
-        debug_assert_eq!(score.to_bits(), head.score.to_bits());
-        let tuple = &cur.rows[i as usize];
-        if cur.memtable {
-            scan::add_memtable(1);
+        match self {
+            RankedMerge::Single(cur) => {
+                cur.settle()?;
+                Some(cur.take())
+            }
+            RankedMerge::Merge { sources, heap } => {
+                let head = heap.pop()?;
+                let cur = &mut sources[head.src];
+                let item = cur.take();
+                debug_assert_eq!(item.1.to_bits(), head.score.to_bits());
+                if let Some(next_score) = cur.settle() {
+                    heap.push(Head {
+                        score: next_score,
+                        src: head.src,
+                    });
+                }
+                Some(item)
+            }
         }
-        cur.pos += 1;
-        if let Some(next_score) = cur.settle() {
-            self.heap.push(Head {
-                score: next_score,
-                src: head.src,
-            });
-        }
-        Some((tuple, score))
     }
 }
 
@@ -1662,8 +1702,8 @@ mod tests {
             s.cache
                 .read()
                 .unwrap()
-                .projections
-                .contains_key(&scores[0].cache_key().unwrap()),
+                .slot(scores[0].cache_key().unwrap())
+                .is_some(),
             "the always-hit projection survives LRU eviction"
         );
         // Revisiting everything (including evicted entries) still agrees.
@@ -1704,6 +1744,165 @@ mod tests {
             c.tuples_scanned, 1,
             "only the 1-row memtable rescored ({} frozen rows untouched)",
             s.frozen_live
+        );
+    }
+
+    /// The naive reference for a ranked walk: a stable descending sort of
+    /// the logical tuple vector, as `(id, score bits)`.
+    fn naive_ranked(s: &PeerStore, score: &LinearScore) -> Vec<(u64, u64)> {
+        let mut manual: Vec<(u64, f64)> = s
+            .tuples()
+            .iter()
+            .map(|t| (t.id, score.score(&t.point)))
+            .collect();
+        manual.sort_by(|a, b| b.1.total_cmp(&a.1));
+        manual
+            .into_iter()
+            .map(|(id, sc)| (id, sc.to_bits()))
+            .collect()
+    }
+
+    /// Walks the fresh projection of `score` twice, each inside a scan
+    /// bracket: as `ranked_merge` serves it (which must be the
+    /// single-source walk) and through the heap merge over the same lone
+    /// memtable source — the walk every store took before the
+    /// single-source path existed.
+    fn single_and_heap_walks(
+        s: &PeerStore,
+        score: &LinearScore,
+    ) -> [(Vec<(u64, u64)>, ScanCounts); 2] {
+        let _ = s.with_ranked(score, |it| it.count());
+        let cache = s.cache.read().unwrap();
+        let proj = &cache.projections[cache.slot(score.cache_key().unwrap()).unwrap()].1;
+        let walk = |it: RankedMerge<'_>| {
+            crate::scan::begin();
+            let v: Vec<(u64, u64)> = it.map(|(t, sc)| (t.id, sc.to_bits())).collect();
+            (v, crate::scan::end())
+        };
+        let single = s.ranked_merge(proj);
+        assert!(
+            matches!(single, RankedMerge::Single(_)),
+            "no live run row: the walk takes the single-source path"
+        );
+        [
+            walk(single),
+            walk(RankedMerge::merge(vec![s.tail_cursor(proj)])),
+        ]
+    }
+
+    /// With no live run row, the ranked walk reads the memtable entries
+    /// directly — no heap, no cursor vector — and must still be the stable
+    /// descending sort, with the scan counters the heap merge reports.
+    #[test]
+    fn single_source_walk_matches_sort_and_heap_merge() {
+        // Ids `i` and `i + 10` share a point: exact score ties.
+        let row = |i: u64| {
+            t2(
+                i,
+                ((i * 7) % 10) as f64 / 10.0,
+                ((i * 3) % 10) as f64 / 10.0,
+            )
+        };
+        let mut memtable_only = PeerStore::new();
+        memtable_only.insert_batch((0..40).map(row));
+        assert!(memtable_only.runs.is_empty());
+        // Runs whose every row is tombstoned: the removal without the
+        // compaction `delete_batch` would follow it with.
+        let mut all_dead = PeerStore::new();
+        all_dead.insert_batch((0..2 * BLOCK_ROWS as u64 + 30).map(row));
+        let frozen: FxHashSet<u64> = all_dead.tuples()[..all_dead.frozen_live]
+            .iter()
+            .map(|t| t.id)
+            .collect();
+        all_dead.remove_where(|t| frozen.contains(&t.id));
+        assert_eq!(all_dead.runs.len(), 2);
+        assert!(all_dead.runs.iter().all(|r| r.live == 0));
+        assert_eq!(all_dead.len(), 30);
+        let score = LinearScore::new(vec![1.0, 2.0]);
+        for s in [&memtable_only, &all_dead] {
+            let [(single, c_single), (heap, c_heap)] = single_and_heap_walks(s, &score);
+            assert_eq!(single, naive_ranked(s, &score), "stable descending sort");
+            assert_eq!(single, heap, "same walk as the heap merge");
+            assert_eq!(c_single, c_heap, "same scan counters as the heap merge");
+            assert_eq!(c_single.memtable_hits, s.len() as u64);
+            assert_eq!(c_single.tombstones_masked, 0, "dead runs are skipped whole");
+            assert_eq!(c_single.tuples_scanned, 0);
+        }
+    }
+
+    /// A thousand distinct scoring functions, interleaved with inserts,
+    /// deletes and compactions, never grow the projection slots past
+    /// `MAX_PROJECTIONS`, keep their keys unique, and every walk stays the
+    /// stable descending sort; a stale projection is refreshed in its own
+    /// slot rather than added again.
+    #[test]
+    fn projection_slots_stay_capped_and_refresh_in_place() {
+        let mut s = PeerStore::new();
+        s.insert_batch((0..300u64).map(|i| t(i, (i as f64 * 0.377) % 1.0)));
+        let (mut next_id, mut oldest) = (300u64, 0u64);
+        let scores: Vec<LinearScore> = (0..1000u64)
+            .map(|i| LinearScore::new(vec![1.0 + i as f64, 2.0]))
+            .collect();
+        let keys = |s: &PeerStore| -> Vec<u64> {
+            s.cache
+                .read()
+                .unwrap()
+                .projections
+                .iter()
+                .map(|(k, _)| *k)
+                .collect()
+        };
+        for (i, sc) in scores.iter().enumerate() {
+            match i % 7 {
+                0 => {
+                    s.insert(t(next_id, (next_id as f64 * 0.611) % 1.0));
+                    next_id += 1;
+                }
+                3 => {
+                    s.delete_batch([oldest]);
+                    oldest += 1;
+                }
+                5 => {
+                    s.compact();
+                }
+                _ => {}
+            }
+            let walked: Vec<(u64, u64)> = s
+                .with_ranked(sc, |it| it.map(|(t, x)| (t.id, x.to_bits())).collect())
+                .unwrap();
+            assert_eq!(walked, naive_ranked(&s, sc), "walk {i}");
+            let held = keys(&s);
+            assert!(
+                held.len() <= MAX_PROJECTIONS,
+                "step {i}: {} slots",
+                held.len()
+            );
+            let unique: HashSet<u64> = held.iter().copied().collect();
+            assert_eq!(unique.len(), held.len(), "step {i}: duplicate key");
+            assert!(held.contains(&sc.cache_key().unwrap()));
+        }
+        let hot = &scores[999];
+        let key = hot.cache_key().unwrap();
+        s.insert(t(next_id, 0.5));
+        let before = keys(&s);
+        {
+            let cache = s.cache.read().unwrap();
+            let proj = &cache.projections[cache.slot(key).unwrap()].1;
+            assert_ne!(proj.tail_built_at, s.generation, "the insert left it stale");
+        }
+        let walked: Vec<(u64, u64)> = s
+            .with_ranked(hot, |it| it.map(|(t, x)| (t.id, x.to_bits())).collect())
+            .unwrap();
+        assert_eq!(walked, naive_ranked(&s, hot));
+        assert_eq!(
+            keys(&s),
+            before,
+            "refreshed in its own slot, nothing evicted"
+        );
+        let cache = s.cache.read().unwrap();
+        assert_eq!(
+            cache.projections[cache.slot(key).unwrap()].1.tail_built_at,
+            s.generation
         );
     }
 }

@@ -26,6 +26,16 @@ echo "== benchmark build (perfbench is its own workspace) =="
 # it; a library change that breaks it would otherwise go unnoticed.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "== benchmark smoke (traced replay == untraced run, certificates re-verified) =="
+# The traced half of a --trace 1 run goes through perfbench's forwarding
+# overlay wrapper, which takes the default RippleOverlay::links_within
+# (peer_links filtered through region_intersect); the untraced half takes
+# the substrates' overrides. The run exits non-zero unless every traced
+# query replays its untraced twin bit for bit and every certificate
+# re-verifies.
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload paper-queries --seconds 2 --trace 1 > /dev/null
+
 echo "== parallel-exec smoke (sequential == parallel, thread-scaling gate) =="
 cargo run --release --offline -p ripple-bench --bin parallel_exec_bench -- --smoke
 cargo run --release --offline -p ripple-bench --bin parallel_exec_bench -- --smoke --threads 1
