@@ -5,15 +5,23 @@
 //! Latency is accounted exactly as the proofs of Lemmas 1–3 count hops:
 //!
 //! * `fast` (Alg. 1) forwards to all relevant links at once, so a peer's
-//!   completion time is `1 + max(children)`;
+//!   completion time is `1 + max(children)`; no peer sends a state back;
 //! * `ripple` (Alg. 3) visits one link at a time while the hop budget `r`
 //!   lasts, waiting for each state response before the next, so completion
-//!   is `Σ (1 + child)`; below the budget it runs `fast`;
+//!   is `Σ (1 + child)`; below the budget it runs `fast`, whose peers report
+//!   their local states to the last slow-phase ancestor;
 //! * `slow` (Alg. 2) is `ripple` with a budget no walk exhausts (`r ≥ Δ`),
 //!   so `Mode::Slow` runs `ripple(u32::MAX)`.
 //!
 //! Response messages (local states, local answers) are tallied in the
 //! message counters but add no hops, mirroring the Lemma accounting.
+//!
+//! Each template does only the state work its algorithm reads: subtree
+//! states are merged (`update_local_state`) by the slow phase of `ripple`
+//! and by the fast phase of Alg. 3, whose merged states stand for the
+//! reports to the slow-phase ancestor; a pure Alg. 1 or broadcast peer
+//! merges nothing and returns its own local state.
+//!
 //! Restriction areas are threaded through every forwarding step, so each
 //! peer processes a query at most once; a second visit is counted as an
 //! always-on anomaly ([`QueryMetrics::duplicate_visits`]) instead of being
@@ -473,7 +481,8 @@ type Links<R> = Vec<(PeerId, R)>;
 #[derive(Clone, Copy)]
 enum Child {
     /// Algorithm 1; `report_states` charges each peer's state response to
-    /// the last slow-phase ancestor (the fast phase of Algorithm 3).
+    /// the last slow-phase ancestor and hands the subtree states back for
+    /// it to merge (the fast phase of Algorithm 3).
     Fast { report_states: bool },
     /// Naive broadcast.
     Broadcast,
@@ -495,7 +504,8 @@ trait FanOut<'a, O: RippleOverlay, Q: RankQuery<O::Region>> {
     /// Delivers the query from `w` along each of `links` and walks the
     /// subtrees as `child` under `global`. Returns the completion latency
     /// of the fan-out (`max` over the links, which are contacted at once)
-    /// and, for `fast`, the subtrees' states in link order.
+    /// and, for the fast phase of Alg. 3 only (`report_states`), the
+    /// subtrees' states in link order.
     fn fork(
         &mut self,
         walk: &'a Walk<'a, O, Q>,
@@ -596,7 +606,10 @@ where
 }
 
 /// Folds one subtree (its delivery delay, and its state and latency unless
-/// every delivery candidate failed) into a fan-out's running result.
+/// every delivery candidate failed) into a fan-out's running result. The
+/// state is kept only where a reader waits for it: a fast-phase subtree of
+/// Alg. 3 (`report_states`). Pure Alg. 1 and broadcast subtrees report no
+/// state, so theirs is dropped here.
 fn absorb<L>(
     (latency, states): &mut (u64, Vec<L>),
     child: Child,
@@ -607,11 +620,31 @@ fn absorb<L>(
         None => *latency = (*latency).max(delay),
         Some((state, child_latency)) => {
             *latency = (*latency).max(delay + child_latency);
-            if matches!(child, Child::Fast { .. }) {
+            if let Child::Fast {
+                report_states: true,
+            } = child
+            {
                 states.push(state);
             }
         }
     }
+}
+
+/// `sortLinks`: `links` in decreasing priority of their restricted
+/// regions, tied links in link order. Each priority is computed once and
+/// the links are stable-sorted on it, which yields exactly the permutation
+/// of a stable comparator sort that calls `priority` on both sides of
+/// every comparison.
+pub(crate) fn sort_links<R, Q: RankQuery<R>>(
+    q: &Q,
+    links: Links<R>,
+) -> impl Iterator<Item = (PeerId, R)> {
+    let mut ranked: Vec<(f64, (PeerId, R))> = links
+        .into_iter()
+        .map(|link| (q.priority(&link.1), link))
+        .collect();
+    ranked.sort_by(|a, b| b.0.total_cmp(&a.0));
+    ranked.into_iter().map(|(_, link)| link)
 }
 
 /// A peer mid-visit: what its epilogue needs once its links are done.
@@ -765,16 +798,19 @@ impl<'a, O: RippleOverlay, Q: RankQuery<O::Region>> Walk<'a, O, Q> {
         out
     }
 
-    /// Algorithm 1 — and the `r = 0` loop of Algorithm 3 when
-    /// `report_states` is set. Returns the peer's final local state and the
-    /// completion latency of its restriction area.
+    /// Algorithm 1 — and the fast phase of Algorithm 3 (a slow-phase peer
+    /// with one hop of budget left hands each link to it) when
+    /// `report_states` is set. Returns the peer's state and the completion
+    /// latency of its restriction area.
     ///
     /// Under Algorithm 3 every fast-phase peer sends its local state
     /// directly to the last slow-phase ancestor `u` (Alg. 3 line 19, with
     /// `u` forwarded unchanged at line 15); the recursive return value
-    /// models the union of those states, and `report_states` charges one
-    /// state-response message per peer. Under pure Algorithm 1 no state
-    /// responses exist and none are charged.
+    /// models the union of those states (merged with `update_local_state`),
+    /// and `report_states` charges one state-response message per peer.
+    /// Under pure Algorithm 1 no state responses exist: none are charged,
+    /// no subtree state is merged, and the returned state is the peer's own
+    /// local state.
     fn fast<F: FanOut<'a, O, Q>>(
         &'a self,
         fan: &mut F,
@@ -805,6 +841,7 @@ impl<'a, O: RippleOverlay, Q: RankQuery<O::Region>> Walk<'a, O, Q> {
         if report_states {
             ledger.metrics.respond(q.state_payload(&local));
         }
+        // Empty under pure Alg. 1: no subtree reports a state.
         let merged = if states.is_empty() {
             local
         } else {
@@ -827,18 +864,13 @@ impl<'a, O: RippleOverlay, Q: RankQuery<O::Region>> Walk<'a, O, Q> {
         r: u32,
         ledger: &mut BranchLedger,
     ) -> (Q::Local, u64) {
-        if r == 0 {
-            // Below the hop budget every peer runs the fast loop; local
-            // states stream back to the last slow-phase ancestor, which the
-            // recursive return value models.
-            return self.fast(fan, w, global, restriction, true, ledger);
-        }
+        // `start` runs `Ripple(0)` as `fast`, and the recursion hands the
+        // last hop of budget to `fast` directly.
+        debug_assert!(r > 0, "ripple entered with no hop budget");
         let q = self.query;
         let mut at = self.arrive(fan, w, global, restriction, ledger);
-        let mut links = std::mem::take(&mut at.links);
+        let links = sort_links(q, std::mem::take(&mut at.links));
         let mut global_w = q.compute_global_state(global, &at.local);
-        // sortLinks: decreasing priority of the restricted regions.
-        links.sort_by(|a, b| q.priority(&b.1).total_cmp(&q.priority(&a.1)));
 
         let mut latency = 0u64;
         for (target, restricted) in links {

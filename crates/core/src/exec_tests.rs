@@ -540,3 +540,196 @@ fn outcome_digest_is_pinned() {
         h.0
     );
 }
+
+/// The wrapped query unchanged, counting its `update_local_state` calls.
+struct CountingMerges<Q> {
+    inner: Q,
+    merges: std::sync::atomic::AtomicUsize,
+}
+
+impl<Q> CountingMerges<Q> {
+    fn new(inner: Q) -> Self {
+        Self {
+            inner,
+            merges: std::sync::atomic::AtomicUsize::new(0),
+        }
+    }
+
+    /// The calls counted since the last `take`.
+    fn take(&self) -> usize {
+        self.merges.swap(0, std::sync::atomic::Ordering::Relaxed)
+    }
+}
+
+impl<R, Q: crate::framework::RankQuery<R>> crate::framework::RankQuery<R> for CountingMerges<Q> {
+    type Global = Q::Global;
+    type Local = Q::Local;
+
+    fn initial_global(&self) -> Self::Global {
+        self.inner.initial_global()
+    }
+
+    fn compute_local_state(
+        &self,
+        view: &ripple_net::LocalView<'_>,
+        global: &Self::Global,
+    ) -> Self::Local {
+        self.inner.compute_local_state(view, global)
+    }
+
+    fn compute_global_state(&self, global: &Self::Global, local: &Self::Local) -> Self::Global {
+        self.inner.compute_global_state(global, local)
+    }
+
+    fn update_local_state(&self, states: Vec<Self::Local>) -> Self::Local {
+        self.merges
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.inner.update_local_state(states)
+    }
+
+    fn compute_local_answer(
+        &self,
+        view: &ripple_net::LocalView<'_>,
+        local: &Self::Local,
+    ) -> Vec<Tuple> {
+        self.inner.compute_local_answer(view, local)
+    }
+
+    fn is_link_relevant(&self, region: &R, global: &Self::Global) -> bool {
+        self.inner.is_link_relevant(region, global)
+    }
+
+    fn priority(&self, region: &R) -> f64 {
+        self.inner.priority(region)
+    }
+
+    fn state_payload(&self, local: &Self::Local) -> usize {
+        self.inner.state_payload(local)
+    }
+
+    fn prune_witness(&self, region: &R, global: &Self::Global) -> ripple_verify::PruneWitness {
+        self.inner.prune_witness(region, global)
+    }
+}
+
+/// Only the templates that wait for state responses merge states: `slow`
+/// and `ripple(r ≥ 1)` call `update_local_state`, while `fast` (Alg. 1,
+/// also as `ripple(0)`) and `broadcast` never do, under either fan-out.
+/// Skipping the merges moves nothing an execution reports: every wrapped
+/// outcome digests exactly like the unwrapped query's.
+#[test]
+fn only_state_waiting_templates_merge_states() {
+    use crate::framework::RankQuery;
+    use crate::skyline::SkylineQuery;
+    use ripple_geom::Rect;
+    use ripple_net::rng::rngs::SmallRng;
+    use ripple_net::rng::{Rng, SeedableRng};
+
+    type Outcome<Q> = crate::framework::QueryOutcome<<Q as RankQuery<Rect>>::Local>;
+
+    /// One execution on the inline fan-out, or on a two-thread pool.
+    fn run<Q>(net: &MidasNetwork, initiator: PeerId, q: &Q, mode: Mode, pool: bool) -> Outcome<Q>
+    where
+        Q: RankQuery<Rect> + Sync,
+        Q::Global: Send + Sync,
+        Q::Local: Send,
+    {
+        let exec = Executor::new(net);
+        if pool {
+            exec.run_parallel(initiator, q, mode, 2)
+        } else {
+            exec.run(initiator, q, mode)
+        }
+    }
+
+    fn check<Q>(net: &MidasNetwork, initiator: PeerId, q: Q, name: &str)
+    where
+        Q: RankQuery<Rect> + Sync,
+        Q::Global: Send + Sync,
+        Q::Local: Send,
+    {
+        let counted = CountingMerges::new(q);
+        for mode in [
+            Mode::Fast,
+            Mode::Ripple(0),
+            Mode::Broadcast,
+            Mode::Slow,
+            Mode::Ripple(2),
+        ] {
+            let waits_for_states = matches!(mode, Mode::Slow | Mode::Ripple(1..));
+            for pool in [false, true] {
+                let plain = run(net, initiator, &counted.inner, mode, pool);
+                let wrapped = run(net, initiator, &counted, mode, pool);
+                let merges = counted.take();
+                let at = format!("{name} {mode:?} pool={pool}");
+                if waits_for_states {
+                    assert!(merges > 0, "{at}: no merge");
+                } else {
+                    assert_eq!(merges, 0, "{at}: merged states");
+                }
+                let (mut a, mut b) = (Fnv1a::new(), Fnv1a::new());
+                a.outcome(&plain);
+                b.outcome(&wrapped);
+                assert_eq!(a.0, b.0, "{at}: outcome moved");
+            }
+        }
+    }
+
+    let mut rng = SmallRng::seed_from_u64(0x5e);
+    let mut net = MidasNetwork::build(2, 64, false, &mut rng);
+    let data: Vec<Tuple> = (0..400u64)
+        .map(|i| Tuple::new(i, vec![rng.gen::<f64>(), rng.gen::<f64>()]))
+        .collect();
+    net.insert_all(data);
+    let initiator = net.random_peer(&mut rng);
+    check(&net, initiator, SkylineQuery::new(), "skyline");
+    check(
+        &net,
+        initiator,
+        TopKQuery::new(LinearScore::uniform(2), 10),
+        "top-10",
+    );
+}
+
+/// `sortLinks` ranks each link once and stable-sorts on that key: the same
+/// permutation as the comparator sort that recomputes both priorities per
+/// comparison. Tied links — here whole groups with equal upper bounds, and
+/// an unprioritized query where every link ties — keep link order.
+#[test]
+fn sort_links_matches_comparator_sort_on_ties() {
+    use crate::exec::sort_links;
+    use crate::framework::RankQuery;
+    use ripple_geom::Rect;
+
+    let boxes = [
+        ([0.0, 0.0], [0.5, 0.5]),
+        ([0.5, 0.0], [1.0, 0.5]),
+        ([0.0, 0.5], [0.5, 1.0]),
+        ([0.5, 0.5], [1.0, 1.0]),
+        ([0.2, 0.3], [0.5, 0.5]),
+        ([0.0, 0.0], [0.25, 0.75]),
+        ([0.5, 0.0], [1.0, 0.5]),
+    ];
+    let links: Vec<(PeerId, Rect)> = boxes
+        .iter()
+        .enumerate()
+        .map(|(i, (lo, hi))| (PeerId::new(i as u32), Rect::new(lo.to_vec(), hi.to_vec())))
+        .collect();
+
+    fn compare<Q: RankQuery<Rect>>(q: &Q, links: &[(PeerId, Rect)]) -> Vec<PeerId> {
+        let mut want = links.to_vec();
+        want.sort_by(|a, b| q.priority(&b.1).total_cmp(&q.priority(&a.1)));
+        let got: Vec<PeerId> = sort_links(q, links.to_vec()).map(|(p, _)| p).collect();
+        assert_eq!(got, want.iter().map(|(p, _)| *p).collect::<Vec<_>>());
+        got
+    }
+
+    let topk = TopKQuery::new(LinearScore::uniform(2), 3);
+    // upper bounds (Σ hi) 1.0 1.5 1.5 2.0 1.0 1.0 1.5: ties in link order
+    let order = compare(&topk, &links);
+    let want = [3u32, 1, 2, 6, 0, 4, 5].map(PeerId::new);
+    assert_eq!(order, want);
+    let flat = compare(&Unprioritized(topk), &links);
+    assert_eq!(flat, links.iter().map(|(p, _)| *p).collect::<Vec<_>>());
+    compare(&crate::skyline::SkylineQuery::new(), &links);
+}

@@ -266,7 +266,12 @@ pub trait RankQuery<R> {
     /// current local state.
     fn compute_global_state(&self, global: &Self::Global, local: &Self::Local) -> Self::Global;
 
-    /// `updateLocalState`: merge several local states into one.
+    /// `updateLocalState`: merge several local states into one. Called by
+    /// the templates that wait for state responses: the slow phase of
+    /// `ripple` (and so `slow`) after each link, and each peer of the fast
+    /// phase of `ripple(r ≥ 1)`, whose merge stands for the states its
+    /// subtree reports to the last slow-phase ancestor. `fast` (Alg. 1,
+    /// and `ripple(0)`) and `broadcast` never call it.
     fn update_local_state(&self, states: Vec<Self::Local>) -> Self::Local;
 
     /// `computeLocalAnswer`: the peer's qualifying tuples under its final
@@ -307,7 +312,10 @@ pub struct QueryOutcome<L> {
     /// initiator. Query-specific post-processing (take-top-k, final skyline,
     /// arg-min φ) turns these into the final answer.
     pub answers: Vec<Tuple>,
-    /// The initiator's final local state.
+    /// The initiator's final local state. Under `slow` and `ripple(r)`
+    /// (`r ≥ 1`) it has merged every state response the initiator waited
+    /// for; under `fast` (and `ripple(0)`) and `broadcast`, where no peer
+    /// sends a state back, it is the initiator's own local state.
     pub state: L,
     /// The cost ledger of the execution.
     pub metrics: QueryMetrics,

@@ -211,8 +211,8 @@ impl RankQuery<Rect> for SkylineQuery {
 
     /// Algorithm 15: regions closer to the origin first (`d⁻`).
     fn priority(&self, region: &Rect) -> f64 {
-        let origin = Point::origin(region.dims());
-        -Norm::L2.min_dist(region, &origin)
+        let origin = std::iter::repeat(0.0);
+        -Norm::L2.min_dist_corners(region.lo().coords(), region.hi().coords(), origin)
     }
 
     /// Skyline states ship their member tuples.

@@ -24,29 +24,58 @@ pub enum Norm {
 }
 
 impl Norm {
+    /// The norm of a difference vector given coordinate by coordinate: the
+    /// one accumulation every distance below shares, so two of them agree
+    /// bit for bit whenever their differences do.
+    fn of_diffs(&self, diffs: impl Iterator<Item = f64>) -> f64 {
+        match self {
+            Norm::L1 => diffs.map(f64::abs).sum(),
+            Norm::L2 => diffs.map(|x| x.powi(2)).sum::<f64>().sqrt(),
+            Norm::Linf => diffs.map(f64::abs).fold(0.0, f64::max),
+        }
+    }
+
     /// Distance between two points.
     pub fn dist(&self, a: &Point, b: &Point) -> f64 {
         debug_assert_eq!(a.dims(), b.dims());
-        match self {
-            Norm::L1 => (0..a.dims()).map(|d| (a.coord(d) - b.coord(d)).abs()).sum(),
-            Norm::L2 => (0..a.dims())
-                .map(|d| (a.coord(d) - b.coord(d)).powi(2))
-                .sum::<f64>()
-                .sqrt(),
-            Norm::Linf => (0..a.dims())
-                .map(|d| (a.coord(d) - b.coord(d)).abs())
-                .fold(0.0, f64::max),
-        }
+        let (a, b) = (a.coords(), b.coords());
+        self.of_diffs(a.iter().zip(b).map(|(x, y)| x - y))
+    }
+
+    /// Minimum distance from the point with coordinates `p` to the box with
+    /// corners `lo` and `hi`: the distance to the coordinate-wise clamp of
+    /// `p` (`Rect::nearest_point`), computed without building that point.
+    /// Bit for bit `dist(&r.nearest_point(p), p)`.
+    pub fn min_dist_corners(
+        &self,
+        lo: &[f64],
+        hi: &[f64],
+        p: impl IntoIterator<Item = f64>,
+    ) -> f64 {
+        debug_assert_eq!(lo.len(), hi.len());
+        let box_dims = lo.iter().zip(hi);
+        self.of_diffs(box_dims.zip(p).map(|((&l, &h), c)| c.clamp(l, h) - c))
     }
 
     /// Minimum distance from `p` to any point of `r` (0 if `p ∈ r`).
     pub fn min_dist(&self, r: &Rect, p: &Point) -> f64 {
-        self.dist(&r.nearest_point(p), p)
+        debug_assert_eq!(r.dims(), p.dims());
+        let (lo, hi) = (r.lo().coords(), r.hi().coords());
+        self.min_dist_corners(lo, hi, p.coords().iter().copied())
     }
 
-    /// Maximum distance from `p` to any point of `r`.
+    /// Maximum distance from `p` to any point of `r`: the distance to the
+    /// coordinate-wise farthest end (`Rect::farthest_point`), computed
+    /// without building that point. Bit for bit
+    /// `dist(&r.farthest_point(p), p)`.
     pub fn max_dist(&self, r: &Rect, p: &Point) -> f64 {
-        self.dist(&r.farthest_point(p), p)
+        debug_assert_eq!(r.dims(), p.dims());
+        let (lo, hi) = (r.lo().coords(), r.hi().coords());
+        let box_dims = lo.iter().zip(hi);
+        self.of_diffs(box_dims.zip(p.coords()).map(|((&l, &h), &c)| {
+            let far = if (c - l).abs() >= (c - h).abs() { l } else { h };
+            far - c
+        }))
     }
 
     /// Diameter of the whole unit cube under this norm — a safe "infinite"

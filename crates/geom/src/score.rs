@@ -230,20 +230,14 @@ impl ScoreFn for PeakScore {
     }
 
     fn upper_bound_corners(&self, lo: &[f64], hi: &[f64]) -> f64 {
-        // The nearest box point to the peak is the coordinate-wise clamp
-        // (exactly `Rect::nearest_point`); accumulate its distance in the
-        // same order as `Norm::dist`, so the bound matches
-        // `upper_bound(&rect)` bit-for-bit and dominates every in-box score
-        // exactly (|clamp(p) − p| ≤ |x − p| per dimension, and every fp step
-        // afterwards is monotone).
-        let peak = self.peak.coords();
-        debug_assert!(lo.len() == peak.len() && hi.len() == peak.len());
-        let diffs = (0..peak.len()).map(|d| peak[d].clamp(lo[d], hi[d]) - peak[d]);
-        -match self.norm {
-            Norm::L1 => diffs.map(f64::abs).sum(),
-            Norm::L2 => diffs.map(|x| x.powi(2)).sum::<f64>().sqrt(),
-            Norm::Linf => diffs.map(f64::abs).fold(0.0, f64::max),
-        }
+        // The distance to the nearest box point, the coordinate-wise clamp
+        // of the peak: equal to `upper_bound(&rect)` bit for bit, and it
+        // dominates every in-box score exactly (|clamp(p) − p| ≤ |x − p|
+        // per dimension, and every fp step afterwards is monotone).
+        debug_assert!(lo.len() == self.peak.dims() && hi.len() == self.peak.dims());
+        -self
+            .norm
+            .min_dist_corners(lo, hi, self.peak.coords().iter().copied())
     }
 }
 

@@ -6,7 +6,7 @@
 
 use ripple_geom::kdspace::BitPath;
 use ripple_geom::zorder::ZCurve;
-use ripple_geom::{dominance, Norm, Point, Rect, Tuple};
+use ripple_geom::{dominance, Norm, PeakScore, Point, Rect, ScoreFn, Tuple};
 
 /// Minimal deterministic generator (splitmix64).
 struct Gen(u64);
@@ -80,6 +80,61 @@ fn rect_distances_bracket() {
             let d = n.dist(&inside, &q);
             assert!(n.min_dist(&r, &q) <= d + 1e-9);
             assert!(n.max_dist(&r, &q) >= d - 1e-9);
+        }
+    }
+}
+
+/// A box with some zero-width dimensions, and a probe point whose every
+/// coordinate lies inside the box, on one of its faces, or outside the
+/// unit cube altogether.
+fn box_and_probe(g: &mut Gen, dims: usize) -> (Rect, Point) {
+    let r = g.rect(dims);
+    let (lo, mut hi) = (r.lo().coords().to_vec(), r.hi().coords().to_vec());
+    let mut p = Vec::with_capacity(dims);
+    for d in 0..dims {
+        if g.next_u64().is_multiple_of(3) {
+            hi[d] = lo[d];
+        }
+        p.push(match g.next_u64() % 5 {
+            0 => lo[d] + (hi[d] - lo[d]) * g.coord(),
+            1 => lo[d],
+            2 => hi[d],
+            3 => -1.0 - g.coord(),
+            _ => 1.0 + g.coord(),
+        });
+    }
+    (Rect::new(lo, hi), Point::new(p))
+}
+
+/// The allocation-free `min_dist` / `max_dist` are the distances to the
+/// materialised nearest / farthest box points, bit for bit, in every norm.
+#[test]
+fn rect_distances_match_materialised_points() {
+    for seed in 0..CASES {
+        let mut g = Gen::new(1500 + seed);
+        let dims = g.usize_in(1, 6);
+        let (r, p) = box_and_probe(&mut g, dims);
+        for n in [Norm::L1, Norm::L2, Norm::Linf] {
+            let near = n.dist(&r.nearest_point(&p), &p);
+            let far = n.dist(&r.farthest_point(&p), &p);
+            assert_eq!(n.min_dist(&r, &p).to_bits(), near.to_bits(), "{n:?}");
+            assert_eq!(n.max_dist(&r, &p).to_bits(), far.to_bits(), "{n:?}");
+        }
+    }
+}
+
+/// A peak score's box bound is the same number whether it is asked of the
+/// rect or of its raw corner slices.
+#[test]
+fn peak_bound_matches_corner_bound() {
+    for seed in 0..CASES {
+        let mut g = Gen::new(1700 + seed);
+        let dims = g.usize_in(1, 6);
+        let (r, peak) = box_and_probe(&mut g, dims);
+        for n in [Norm::L1, Norm::L2, Norm::Linf] {
+            let f = PeakScore::new(peak.clone(), n);
+            let corners = f.upper_bound_corners(r.lo().coords(), r.hi().coords());
+            assert_eq!(f.upper_bound(&r).to_bits(), corners.to_bits(), "{n:?}");
         }
     }
 }

@@ -36,6 +36,14 @@ echo "== benchmark smoke (traced replay == untraced run, certificates re-verifie
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload paper-queries --seconds 2 --trace 1 > /dev/null
 
+echo "== benchmark smoke (pool fan-out: serve-distinct, oracles and certificates) =="
+# serve-distinct is the one benchmark workload that runs queries through
+# run_parallel's pool fan-out, whose per-subtree merge the other smokes
+# never reach; the run exits non-zero on any failed oracle or certificate
+# check.
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload serve-distinct --seconds 2 --trace 0 > /dev/null
+
 echo "== parallel-exec smoke (sequential == parallel, thread-scaling gate) =="
 cargo run --release --offline -p ripple-bench --bin parallel_exec_bench -- --smoke
 cargo run --release --offline -p ripple-bench --bin parallel_exec_bench -- --smoke --threads 1
