@@ -2,7 +2,7 @@
 //!
 //! Usage:
 //! ```text
-//! figures <all|table1|lemmas|fig4..fig12|abl-border|abl-priority|abl-split|ext-chord|ext-churn>...
+//! figures <all|table1|lemmas|fig4..fig12|abl-border|abl-priority|abl-split|ext-chord|ext-skyframe|ext-churn>...
 //!         [--scale quick|medium|paper] [--seed N] [--out DIR]
 //! ```
 //!
@@ -48,15 +48,7 @@ fn main() {
     if targets.is_empty() {
         die("no target; try `figures all --scale quick`");
     }
-    if targets.iter().any(|t| t == "all") {
-        targets = [
-            "table1", "lemmas", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
-            "fig12",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    }
+    let targets = expand_all(targets);
 
     eprintln!("scale: {scale:?}, seed: {seed}, out: {}", out_dir.display());
     for t in &targets {
@@ -97,6 +89,27 @@ fn main() {
     }
 }
 
+/// The paper's tables and figures, in order: what `all` stands for.
+const ALL: [&str; 11] = [
+    "table1", "lemmas", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
+];
+
+/// Expands each `all` in place into [`ALL`], keeping every other target
+/// where it stands (`all abl-border` runs the paper set, then the
+/// ablation).
+fn expand_all(targets: Vec<String>) -> Vec<String> {
+    targets
+        .into_iter()
+        .flat_map(|t| {
+            if t == "all" {
+                ALL.iter().map(|s| s.to_string()).collect()
+            } else {
+                vec![t]
+            }
+        })
+        .collect()
+}
+
 fn print_table1() {
     println!("== Table 1: experimental configuration ==");
     println!("  parameter          range                                  default");
@@ -125,4 +138,19 @@ fn print_table1() {
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn all_keeps_the_explicit_targets_around_it() {
+        let args = ["abl-split", "all", "abl-border", "ext-chord"].map(String::from);
+        let got = expand_all(args.to_vec());
+        let mut want = vec!["abl-split".to_string()];
+        want.extend(ALL.iter().map(|s| s.to_string()));
+        want.extend(["abl-border", "ext-chord"].map(String::from));
+        assert_eq!(got, want);
+    }
 }

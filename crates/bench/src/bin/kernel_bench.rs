@@ -1,11 +1,10 @@
 //! Micro-benchmark for the columnar block layer and its scan kernels
 //! (PR acceptance run).
 //!
-//! Builds two MIDAS overlays from the same seed — one queried through the
-//! blocked kernel paths (`Executor::new`, blocks on by default), one
-//! through the block-free executor (`Executor::without_blocks`) so its
-//! stores never hold a columnar mirror — and times two *local-scan-bound*
-//! workloads over them:
+//! Builds one MIDAS overlay and queries it two ways — through the blocked
+//! kernel paths (`Executor::new`) and through the plain-scan oracle
+//! (`Executor::naive`, every peer scans its tuple slice, so the columnar
+//! mirror is never read) — timing two *local-scan-bound* workloads:
 //!
 //! * **ad-hoc top-k**: every query carries a fresh [`AdHoc`]-wrapped
 //!   scoring function, so no peer can amortise a score projection and the
@@ -183,18 +182,17 @@ fn verify_equivalence(
 fn main() {
     let cfg = Config::from_args();
     eprintln!(
-        "building twin networks: {} peers, {} tuples, {DIMS}-d ...",
+        "building the network: {} peers, {} tuples, {DIMS}-d ...",
         cfg.peers, cfg.records
     );
-    // Twin overlays from the same seed: the scalar arm's stores never build
-    // a columnar mirror, so its timings are the true scalar baseline.
-    let net_blocked = build(&cfg);
-    let net_scalar = build(&cfg);
-    let inits = initiators(&net_blocked, &cfg);
+    // The scalar arm is the plain-scan oracle: it never reads the columnar
+    // mirror, so its timings are the true scalar baseline.
+    let net = build(&cfg);
+    let inits = initiators(&net, &cfg);
     let scores = adhoc_scores(&cfg);
 
-    let blocked = Executor::new(&net_blocked);
-    let scalar = Executor::new(&net_scalar).without_blocks();
+    let blocked = Executor::new(&net);
+    let scalar = Executor::new(&net).naive();
 
     eprintln!(
         "verifying blocked == scalar on all {} queries ...",

@@ -83,7 +83,7 @@ fn skyline_workload(exec: &Executor<'_, MidasNetwork>, inits: &[PeerId]) -> u64 
 /// Cross-checks the two paths query by query before anything is timed.
 fn verify_equivalence(net: &MidasNetwork, inits: &[PeerId], pool: &[LinearScore]) {
     let indexed = Executor::new(net);
-    let naive = Executor::naive(net);
+    let naive = Executor::new(net).naive();
     for (i, &init) in inits.iter().enumerate() {
         let q = TopKQuery::new(pool[i % pool.len()].clone(), K);
         let a = indexed.run(init, &q, Mode::Fast);
@@ -118,7 +118,7 @@ fn main() {
     eprintln!("verifying indexed == naive on all {QUERIES} queries ...");
     verify_equivalence(&net, &inits, &pool);
 
-    let naive = Executor::naive(&net);
+    let naive = Executor::new(&net).naive();
     let indexed = Executor::new(&net);
 
     let topk_naive = bench("local_index/topk_naive", || {

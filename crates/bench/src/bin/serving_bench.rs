@@ -16,8 +16,9 @@
 //!   [`Executor`] at the same snapshot and must match bit for bit
 //!   (answers, cost ledger, coverage, certificate), and every certificate
 //!   must verify through `ripple-verify`;
-//! * **churn** — queries race epoch bumps; every certificate must verify
-//!   against the generation its response claims.
+//! * **churn** — queries race epoch bumps (wave 0 is served before the
+//!   first bump, so the arm spans at least two generations); every
+//!   certificate must verify against the generation its response claims.
 //!
 //! The qps-scaling gate is **hardware-aware**, mirroring
 //! `parallel_exec_bench`: the 3× target applies only when the host
@@ -324,6 +325,7 @@ fn main() {
     let waves = if cfg.smoke { 4 } else { 8 };
     let per_wave = 12usize;
     let mut in_flight = Vec::new();
+    let mut served = Vec::new();
     let mut churn_rng = SmallRng::seed_from_u64(0xc4a2);
     for wave in 0..waves {
         for i in 0..per_wave {
@@ -335,13 +337,22 @@ fn main() {
                 .expect("admission");
             in_flight.push((shape, ticket));
         }
+        if wave == 0 {
+            // Wave 0 is served in full before the first bump, so the run
+            // straddles at least two generations; later waves race.
+            for (shape, ticket) in in_flight.drain(..) {
+                served.push((shape, ticket.wait().expect("admitted queries complete")));
+            }
+        }
         service.advance_epoch(|net| {
             net.join_random(&mut churn_rng);
         });
     }
+    for (shape, ticket) in in_flight {
+        served.push((shape, ticket.wait().expect("admitted queries complete")));
+    }
     let mut generations = std::collections::HashSet::new();
-    for (i, (shape, ticket)) in in_flight.into_iter().enumerate() {
-        let resp = ticket.wait().expect("admitted queries complete");
+    for (i, (shape, resp)) in served.into_iter().enumerate() {
         let ServiceQuery::TopK {
             score: ServiceScore::Linear(weights),
             k,
@@ -360,6 +371,11 @@ fn main() {
         .unwrap_or_else(|e| panic!("churn q={i}: rejected against claimed generation: {e}"));
         generations.insert(resp.generation);
     }
+    assert!(
+        generations.len() >= 2,
+        "churn: queries must straddle an epoch bump (served {} generation(s))",
+        generations.len()
+    );
     let churn_queries = waves * per_wave;
     println!(
         "churn: {churn_queries} queries raced {waves} epoch bumps, served across {} generation(s), all certificates verified",

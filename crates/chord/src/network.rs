@@ -377,14 +377,6 @@ impl ChordNetwork {
         rewritten
     }
 
-    /// Switches every live peer's store between the LSM write path and the
-    /// legacy rebuild-per-insert layout (test/bench baseline harness).
-    pub fn set_store_legacy(&mut self, legacy: bool) {
-        for id in self.live_peers() {
-            self.peer_mut(id).store.set_legacy(legacy);
-        }
-    }
-
     /// A new peer joins at ring position `pos`, taking the tail of the
     /// owner's arc.
     pub fn join(&mut self, pos: f64) -> PeerId {

@@ -1,15 +1,17 @@
-//! Chord-side kernel equivalence: the twin of `ripple-core`'s
+//! Chord-side kernel equivalence, the ring counterpart of `ripple-core`'s
 //! `kernel_equivalence` suite. The columnar block mirror and its scan
-//! kernels live entirely below the substrate boundary, so a blocked
-//! executor and a block-free one must be observationally identical over
-//! ring-arc regions exactly as over MIDAS boxes — including under fault
-//! planes, failover and the parallel engine.
+//! kernels live entirely below the substrate boundary, so the indexed
+//! executor on either forced dispatch arm and the plain-scan oracle
+//! (`Executor::naive`) must be observationally identical over ring-arc
+//! regions exactly as over MIDAS boxes — including under fault planes,
+//! failover and the parallel engine. The two dispatch arms agree element
+//! for element; the oracle's answers are compared as id-sorted sets.
 
 use ripple_chord::ChordNetwork;
 use ripple_core::framework::Mode;
 use ripple_core::topk::TopKQuery;
 use ripple_core::Executor;
-use ripple_geom::{AdHoc, LinearScore, Tuple};
+use ripple_geom::{AdHoc, KernelDispatch, LinearScore, Tuple};
 use ripple_net::rng::rngs::SmallRng;
 use ripple_net::rng::{Rng, SeedableRng};
 use ripple_net::FaultPlane;
@@ -26,65 +28,67 @@ fn loaded_ring(peers: usize, tuples: u64, seed: u64) -> (ChordNetwork, SmallRng)
     (net, rng)
 }
 
-#[test]
-fn blocked_equals_scalar_on_the_ring() {
-    let (net, mut rng) = loaded_ring(64, 3000, 71);
-    let planes = [FaultPlane::none(), FaultPlane::drops(0.15, 23)];
-    for k in [1usize, 12] {
-        // No cache key: peers take the blocked kernel scan, not the
-        // memoised projection.
-        let q = TopKQuery::new(AdHoc(LinearScore::uniform(1)), k);
-        for plane in planes {
-            for mode in MODES {
-                let initiator = net.random_peer(&mut rng);
-                let blocked = Executor::with_faults(&net, plane, 9);
-                let scalar = Executor::with_faults(&net, plane, 9).without_blocks();
-                let b = blocked.run(initiator, &q, mode);
-                let s = scalar.run(initiator, &q, mode);
-                assert_eq!(
-                    b.metrics, s.metrics,
-                    "k={k} [{mode:?}, drop_p={}]: ledgers must be bit-identical",
-                    plane.drop_probability
-                );
-                assert_eq!(b.answers, s.answers, "k={k} [{mode:?}]: answer streams");
-                assert_eq!(b.coverage, s.coverage, "k={k} [{mode:?}]: coverage");
-                let bp = blocked.run_parallel(initiator, &q, mode, 4);
-                assert_eq!(b.metrics, bp.metrics, "k={k} [{mode:?}]: parallel ledger");
-                assert_eq!(b.answers, bp.answers, "k={k} [{mode:?}]: parallel answers");
+/// Runs `q` under the forced-scalar and forced-SIMD indexed executors and
+/// the plain-scan oracle across every plane × mode, sequential and on the
+/// pool, and asserts observational equality (see the module docs).
+fn assert_kernels_invisible(net: &ChordNetwork, k: usize, rng: &mut SmallRng) {
+    // No cache key: peers take the blocked kernel scan, not the memoised
+    // projection.
+    let q = TopKQuery::new(AdHoc(LinearScore::uniform(1)), k);
+    for plane in [FaultPlane::none(), FaultPlane::drops(0.15, 23)] {
+        for mode in MODES {
+            let initiator = net.random_peer(rng);
+            let scalar =
+                Executor::with_faults(net, plane, 9).with_dispatch(KernelDispatch::ForcedScalar);
+            let simd =
+                Executor::with_faults(net, plane, 9).with_dispatch(KernelDispatch::ForcedSimd);
+            let s = scalar.run(initiator, &q, mode);
+            let v = simd.run(initiator, &q, mode);
+            let o = Executor::with_faults(net, plane, 9)
+                .naive()
+                .run(initiator, &q, mode);
+            let at = format!("k={k} [{mode:?}, drop_p={}]", plane.drop_probability);
+            assert_eq!(
+                s.metrics, v.metrics,
+                "{at}: dispatch arms must produce bit-identical ledgers"
+            );
+            assert_eq!(s.answers, v.answers, "{at}: answer streams");
+            assert_eq!(s.coverage, v.coverage, "{at}: coverage");
+            assert_eq!(s.certificate, v.certificate, "{at}: certificate");
+            assert_eq!(s.metrics, o.metrics, "{at}: oracle ledger");
+            assert_eq!(by_id(&s.answers), by_id(&o.answers), "{at}: oracle answers");
+            assert_eq!(s.coverage, o.coverage, "{at}: oracle coverage");
+            assert_eq!(s.certificate, o.certificate, "{at}: oracle certificate");
+            for (arm, exec) in [("scalar", &scalar), ("simd", &simd)] {
+                let p = exec.run_parallel(initiator, &q, mode, 4);
+                assert_eq!(s.metrics, p.metrics, "{at}: parallel {arm} ledger");
+                assert_eq!(s.answers, p.answers, "{at}: parallel {arm} answers");
+                assert_eq!(s.coverage, p.coverage, "{at}: parallel {arm} coverage");
             }
         }
     }
 }
 
+/// Answers as an id-sorted set: the oracle comparison's answer order.
+fn by_id(answers: &[Tuple]) -> Vec<Tuple> {
+    let mut v = answers.to_vec();
+    v.sort_by_key(|t| t.id);
+    v
+}
+
+#[test]
+fn blocked_equals_scalar_on_the_ring() {
+    let (net, mut rng) = loaded_ring(64, 3000, 71);
+    for k in [1usize, 12] {
+        assert_kernels_invisible(&net, k, &mut rng);
+    }
+}
+
 #[test]
 fn forced_simd_equals_forced_scalar_on_the_ring() {
-    use ripple_geom::KernelDispatch;
     let (net, mut rng) = loaded_ring(48, 2400, 73);
-    let planes = [FaultPlane::none(), FaultPlane::drops(0.15, 23)];
     for k in [1usize, 12] {
-        let q = TopKQuery::new(AdHoc(LinearScore::uniform(1)), k);
-        for plane in planes {
-            for mode in MODES {
-                let initiator = net.random_peer(&mut rng);
-                let scalar = Executor::with_faults(&net, plane, 9)
-                    .with_dispatch(KernelDispatch::ForcedScalar);
-                let simd =
-                    Executor::with_faults(&net, plane, 9).with_dispatch(KernelDispatch::ForcedSimd);
-                let s = scalar.run(initiator, &q, mode);
-                let v = simd.run(initiator, &q, mode);
-                assert_eq!(
-                    s.metrics, v.metrics,
-                    "k={k} [{mode:?}, drop_p={}]: dispatch arms must produce \
-                     bit-identical ledgers",
-                    plane.drop_probability
-                );
-                assert_eq!(s.answers, v.answers, "k={k} [{mode:?}]: answer streams");
-                assert_eq!(s.coverage, v.coverage, "k={k} [{mode:?}]: coverage");
-                let vp = simd.run_parallel(initiator, &q, mode, 4);
-                assert_eq!(s.metrics, vp.metrics, "k={k} [{mode:?}]: parallel ledger");
-                assert_eq!(s.answers, vp.answers, "k={k} [{mode:?}]: parallel answers");
-            }
-        }
+        assert_kernels_invisible(&net, k, &mut rng);
     }
 }
 
@@ -124,18 +128,15 @@ fn planner_probes_and_exploits_on_the_ring() {
 
 #[test]
 fn blocked_scan_prunes_on_the_ring() {
-    // Twin networks from the same seed: the baseline ring never builds a
-    // block mirror, so its scan counts are the true scalar effort. Few
-    // peers, many tuples: every store spans several blocks, which is what
-    // gives the bounded heap blocks to skip.
-    let (net_b, mut rng) = loaded_ring(8, 12000, 72);
-    let (net_s, _) = loaded_ring(8, 12000, 72);
+    // The oracle scans plain slices and never reads the mirror, so its
+    // scan count is the true scalar effort. Few peers, many tuples: every
+    // store spans several blocks, which is what gives the bounded heap
+    // blocks to skip.
+    let (net, mut rng) = loaded_ring(8, 12000, 72);
     let q = TopKQuery::new(AdHoc(LinearScore::new(vec![1.0])), 4);
-    let initiator = net_b.random_peer(&mut rng);
-    let b = Executor::new(&net_b).run(initiator, &q, Mode::Fast);
-    let s = Executor::new(&net_s)
-        .without_blocks()
-        .run(initiator, &q, Mode::Fast);
+    let initiator = net.random_peer(&mut rng);
+    let b = Executor::new(&net).run(initiator, &q, Mode::Fast);
+    let s = Executor::new(&net).naive().run(initiator, &q, Mode::Fast);
     assert!(b.metrics.blocks_pruned > 0, "selective top-k prunes blocks");
     assert_eq!(s.metrics.blocks_pruned, 0, "scalar path never prunes");
     assert!(b.metrics.tuples_scanned < s.metrics.tuples_scanned);

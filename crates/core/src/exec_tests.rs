@@ -499,7 +499,7 @@ fn outcome_digest_is_pinned() {
         for mode in MODES {
             for _ in 0..2 {
                 let initiator = net.random_peer(rng);
-                for exec in [Executor::new(net), Executor::naive(net)] {
+                for exec in [Executor::new(net), Executor::new(net).naive()] {
                     h.outcome(&exec.run(initiator, q, mode));
                     h.outcome(&exec.run_parallel(initiator, q, mode, 2));
                 }

@@ -2,31 +2,29 @@
 //!
 //! The LSM-shaped `PeerStore` — memtable overlay, tombstone masks,
 //! background compaction — is a *write-path layout*, not a semantics
-//! change. The suite drives **twin networks built from the same seed**
-//! through identical interleaved schedules of `insert_batch` → queries →
-//! `compact_stores` → `delete_tuples` → queries:
+//! change. The suite drives one network through an interleaved schedule of
+//! `insert_batch` → queries → `compact_stores` → `delete_tuples` → queries,
+//! and at every checkpoint runs each query twice over it: through the
+//! indexed executor ([`Executor::new`]), which reads the runs, masks and
+//! memtable, and through the plain-scan oracle ([`Executor::naive`]), which
+//! rescans every peer's logical tuple vector as a freshly rebuilt store
+//! would hold it.
 //!
-//! * one twin runs the incremental LSM path (the default), where mutations
-//!   touch only the memtable and compaction folds tombstoned runs;
-//! * the other runs the **legacy rebuild-per-insert layout**
-//!   (`set_store_legacy(true)`), where every store stays a single flat
-//!   memtable — the faithful "freshly rebuilt store" baseline, driven
-//!   through the *same API calls* so epoch and generation counters (which
-//!   certificates and the result cache embed) advance in lockstep.
+//! The two must produce **bit-identical ledgers** (excluding the data-plane
+//! scan counters, which are the observability payload of the
+//! optimisation), **coverage and certificates**, and the same answer sets
+//! (id-sorted: an indexed top-k walk emits in score order) — across every
+//! mode, under omission-fault planes, under an active corruption plane
+//! (where both must also quarantine the same peers), and through the
+//! parallel engine, whose answer streams must equal the sequential indexed
+//! run element for element. Compaction must be *invisible*: the same query
+//! before and after `compact_stores` returns the same everything.
 //!
-//! At every checkpoint the twins must produce **bit-identical answers,
-//! ledgers (excluding the data-plane scan counters, which are the
-//! observability payload of the optimisation), coverage, and
-//! certificates** — across every mode, under omission-fault planes, under
-//! an active corruption plane (where both twins must also quarantine the
-//! same peers), and through the parallel engine. Compaction must be
-//! *invisible*: the same query before and after `compact_stores` returns
-//! the same everything.
-//!
-//! The Chord-side twin lives in `ripple-chord`'s `tests/ingest.rs`.
+//! The Chord-side suite lives in `ripple-chord`'s `tests/ingest.rs`.
 
 use crate::exec::Executor;
 use crate::framework::{Mode, RankQuery};
+use crate::index_equivalence::by_id;
 use crate::skyline::SkylineQuery;
 use crate::topk::TopKQuery;
 use ripple_geom::{AdHoc, LinearScore, Rect, Tuple};
@@ -44,69 +42,52 @@ const MODES: [Mode; 5] = [
 ];
 const THREADS: [usize; 2] = [2, 4];
 
-/// Twin overlays from the same seed: identical zones, links, and routing.
-/// The second is switched to the legacy rebuild-per-insert store layout
-/// before any tuple lands, so its stores never freeze a run.
-fn twin_nets(dims: usize, peers: usize, seed: u64) -> (MidasNetwork, MidasNetwork, SmallRng) {
+fn empty_net(dims: usize, peers: usize, seed: u64) -> (MidasNetwork, SmallRng) {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let lsm = MidasNetwork::build(dims, peers, false, &mut rng);
-    let mut rng2 = SmallRng::seed_from_u64(seed);
-    let mut legacy = MidasNetwork::build(dims, peers, false, &mut rng2);
-    legacy.set_store_legacy(true);
-    (lsm, legacy, rng)
+    let net = MidasNetwork::build(dims, peers, false, &mut rng);
+    (net, rng)
 }
 
 fn planes() -> [FaultPlane; 2] {
     [FaultPlane::none(), FaultPlane::drops(0.15, 17)]
 }
 
-/// Runs `query` on both twins under every plane × mode (sequential and
-/// parallel) and asserts observational equality.
-fn assert_twins_agree<Q>(
-    lsm: &MidasNetwork,
-    legacy: &MidasNetwork,
-    query: &Q,
-    rng: &mut SmallRng,
-    label: &str,
-) where
+/// Runs `query` through the indexed executor and the oracle under every
+/// plane × mode (sequential and parallel) and asserts observational
+/// equality.
+fn assert_oracle_agrees<Q>(net: &MidasNetwork, query: &Q, rng: &mut SmallRng, label: &str)
+where
     Q: RankQuery<Rect> + Sync,
     Q::Global: Send + Sync,
     Q::Local: Send,
 {
     for plane in planes() {
         for mode in MODES {
-            let initiator = lsm.random_peer(rng);
-            let l = Executor::with_faults(lsm, plane, 7).run(initiator, query, mode);
-            let r = Executor::with_faults(legacy, plane, 7).run(initiator, query, mode);
+            let initiator = net.random_peer(rng);
+            let lsm = Executor::with_faults(net, plane, 7);
+            let l = lsm.run(initiator, query, mode);
+            let r = Executor::with_faults(net, plane, 7)
+                .naive()
+                .run(initiator, query, mode);
+            let at = format!("{label} [{mode:?}, drop_p={}]", plane.drop_probability);
             assert_eq!(
                 l.metrics, r.metrics,
-                "{label} [{mode:?}, drop_p={}]: LSM and rebuilt ledgers must be \
-                 bit-identical (excl. scan counters)",
-                plane.drop_probability
+                "{at}: LSM and rebuilt ledgers must be bit-identical (excl. scan counters)"
             );
-            assert_eq!(
-                l.answers, r.answers,
-                "{label} [{mode:?}]: answer streams must be identical, element for element"
-            );
-            assert_eq!(l.coverage, r.coverage, "{label} [{mode:?}]: coverage");
+            assert_eq!(by_id(&l.answers), by_id(&r.answers), "{at}: answer sets");
+            assert_eq!(l.coverage, r.coverage, "{at}: coverage");
             assert_eq!(
                 l.certificate, r.certificate,
-                "{label} [{mode:?}]: the write path must not leak into the certificate"
+                "{at}: the write path must not leak into the certificate"
             );
             for threads in THREADS {
-                let lp = Executor::with_faults(lsm, plane, 7)
-                    .run_parallel(initiator, query, mode, threads);
-                assert_eq!(
-                    r.metrics, lp.metrics,
-                    "{label} [{mode:?}, {threads} threads]: parallel LSM ledger"
-                );
-                assert_eq!(
-                    r.answers, lp.answers,
-                    "{label} [{mode:?}, {threads} threads]: parallel LSM answers"
-                );
+                let lp = lsm.run_parallel(initiator, query, mode, threads);
+                let at = format!("{at}, {threads} threads");
+                assert_eq!(r.metrics, lp.metrics, "{at}: parallel LSM ledger");
+                assert_eq!(l.answers, lp.answers, "{at}: parallel LSM answers");
                 assert_eq!(
                     r.certificate, lp.certificate,
-                    "{label} [{mode:?}, {threads} threads]: parallel LSM certificate"
+                    "{at}: parallel LSM certificate"
                 );
             }
         }
@@ -116,16 +97,15 @@ fn assert_twins_agree<Q>(
 /// The query battery: cached and ad-hoc top-k (projection merge and kernel
 /// scan paths) plus unconstrained and constrained skyline (the blocked
 /// fold over masked runs).
-fn check_battery(lsm: &MidasNetwork, legacy: &MidasNetwork, dims: usize, rng: &mut SmallRng) {
+fn check_battery(net: &MidasNetwork, dims: usize, rng: &mut SmallRng) {
     let q = TopKQuery::new(LinearScore::uniform(dims), 8);
-    assert_twins_agree(lsm, legacy, &q, rng, "topk-cached-linear");
+    assert_oracle_agrees(net, &q, rng, "topk-cached-linear");
     let q = TopKQuery::new(AdHoc(LinearScore::uniform(dims)), 8);
-    assert_twins_agree(lsm, legacy, &q, rng, "topk-adhoc-linear");
-    assert_twins_agree(lsm, legacy, &SkylineQuery::new(), rng, "skyline");
+    assert_oracle_agrees(net, &q, rng, "topk-adhoc-linear");
+    assert_oracle_agrees(net, &SkylineQuery::new(), rng, "skyline");
     let c = Rect::new(vec![0.1; dims], vec![0.9; dims]);
-    assert_twins_agree(
-        lsm,
-        legacy,
+    assert_oracle_agrees(
+        net,
         &SkylineQuery::constrained(c),
         rng,
         "skyline-constrained",
@@ -149,9 +129,9 @@ fn fresh_batch(
         .collect()
 }
 
-/// Picks ~`frac` of the live ids (removing them from `live`), plus a few
-/// ids that were never inserted, so `delete_tuples` also exercises the
-/// absent-id fast path (which must not bump generations on either twin).
+/// Picks ~`frac` of the live ids (removing them from `live`), plus
+/// [`ABSENT`] ids that were never inserted, so `delete_tuples` also
+/// exercises the absent-id fast path (which must not bump generations).
 fn doomed_ids(live: &mut Vec<u64>, frac: f64, rng: &mut SmallRng) -> Vec<u64> {
     let mut doomed = Vec::new();
     let mut kept = Vec::with_capacity(live.len());
@@ -163,34 +143,34 @@ fn doomed_ids(live: &mut Vec<u64>, frac: f64, rng: &mut SmallRng) -> Vec<u64> {
         }
     }
     *live = kept;
-    doomed.push(u64::MAX);
-    doomed.push(u64::MAX - 1);
+    doomed.extend((0..ABSENT as u64).map(|i| u64::MAX - i));
     doomed
 }
 
-/// The tentpole contract: an interleaved insert → query → compact → delete
-/// schedule leaves the LSM twin observationally identical to the
-/// rebuild-per-insert twin at every checkpoint, and compaction is
-/// invisible even mid-schedule.
+/// Never-inserted ids appended to every delete batch.
+const ABSENT: usize = 2;
+
+/// The LSM contract: an interleaved insert → query → compact → delete
+/// schedule leaves the indexed LSM paths observationally identical to the
+/// plain-scan oracle at every checkpoint, and compaction is invisible even
+/// mid-schedule.
 #[test]
 fn lsm_matches_rebuilt_twin_under_interleaved_schedule() {
     let dims = 2;
-    let (mut lsm, mut legacy, mut rng) = twin_nets(dims, 8, 71);
+    let (mut net, mut rng) = empty_net(dims, 8, 71);
     let (mut next_id, mut live) = (0u64, Vec::new());
     for round in 0..3 {
         let batch = fresh_batch(dims, 700, &mut next_id, &mut live, &mut rng);
-        lsm.insert_batch(batch.clone());
-        legacy.insert_batch(batch);
-        check_battery(&lsm, &legacy, dims, &mut rng);
+        net.insert_batch(batch);
+        check_battery(&net, dims, &mut rng);
 
-        // Compaction (LSM only — a no-op layout on the legacy twin) is a
-        // physical reorganisation: the same query straddling it must return
-        // the same everything, and the twins must still agree afterwards.
+        // Compaction is a physical reorganisation: the same query
+        // straddling it must return the same everything.
         let q = TopKQuery::new(LinearScore::uniform(dims), 8);
-        let initiator = lsm.random_peer(&mut rng);
-        let before = Executor::new(&lsm).run(initiator, &q, Mode::Fast);
-        lsm.compact_stores();
-        let after = Executor::new(&lsm).run(initiator, &q, Mode::Fast);
+        let initiator = net.random_peer(&mut rng);
+        let before = Executor::new(&net).run(initiator, &q, Mode::Fast);
+        net.compact_stores();
+        let after = Executor::new(&net).run(initiator, &q, Mode::Fast);
         assert_eq!(before.answers, after.answers, "compaction changed answers");
         assert_eq!(before.metrics, after.metrics, "compaction changed ledger");
         assert_eq!(
@@ -199,48 +179,56 @@ fn lsm_matches_rebuilt_twin_under_interleaved_schedule() {
         );
 
         let doomed = doomed_ids(&mut live, 0.2, &mut rng);
-        let a = lsm.delete_tuples(&doomed);
-        let b = legacy.delete_tuples(&doomed);
-        assert_eq!(a, b, "round {round}: twins must remove the same rows");
-        assert!(a > 0, "round {round}: the delete batch must hit something");
-        lsm.check_invariants();
-        legacy.check_invariants();
-        check_battery(&lsm, &legacy, dims, &mut rng);
+        let removed = net.delete_tuples(&doomed);
+        assert_eq!(
+            removed,
+            doomed.len() - ABSENT,
+            "round {round}: every live doomed row goes, absent ids are skipped"
+        );
+        net.check_invariants();
+        check_battery(&net, dims, &mut rng);
     }
 }
 
 /// Same schedule under an *active* corruption plane: the response auditing
-/// and quarantine machinery sits above the store, so both twins must
-/// corrupt, audit, and quarantine identically.
+/// and quarantine machinery sits above the store, so the indexed run and
+/// the oracle must corrupt, audit, and quarantine identically. Each pair
+/// starts from the same quarantine registry: the oracle runs on a clone
+/// taken before the indexed run flushes its verdicts.
 #[test]
 fn lsm_matches_rebuilt_twin_under_corruption() {
     let dims = 2;
-    let (mut lsm, mut legacy, mut rng) = twin_nets(dims, 8, 72);
+    let (mut net, mut rng) = empty_net(dims, 8, 72);
     let (mut next_id, mut live) = (0u64, Vec::new());
     let plane = CorruptionPlane::flat(0.35, 19);
     for _round in 0..2 {
         let batch = fresh_batch(dims, 600, &mut next_id, &mut live, &mut rng);
-        lsm.insert_batch(batch.clone());
-        legacy.insert_batch(batch);
+        net.insert_batch(batch);
         let doomed = doomed_ids(&mut live, 0.15, &mut rng);
-        assert_eq!(lsm.delete_tuples(&doomed), legacy.delete_tuples(&doomed));
-        lsm.compact_stores();
+        assert_eq!(net.delete_tuples(&doomed), doomed.len() - ABSENT);
+        net.compact_stores();
         let q = TopKQuery::new(LinearScore::uniform(dims), 10);
         for mode in MODES {
-            let initiator = lsm.random_peer(&mut rng);
-            let l = Executor::new(&lsm)
+            let initiator = net.random_peer(&mut rng);
+            let oracle_net = net.clone();
+            let l = Executor::new(&net)
                 .with_corruption(plane)
                 .run(initiator, &q, mode);
-            let r = Executor::new(&legacy)
+            let r = Executor::new(&oracle_net)
                 .with_corruption(plane)
+                .naive()
                 .run(initiator, &q, mode);
-            assert_eq!(l.answers, r.answers, "[{mode:?}] corrupted answers");
+            assert_eq!(
+                by_id(&l.answers),
+                by_id(&r.answers),
+                "[{mode:?}] corrupted answers"
+            );
             assert_eq!(l.metrics, r.metrics, "[{mode:?}] corrupted ledger");
             assert_eq!(l.coverage, r.coverage, "[{mode:?}] corrupted coverage");
             assert_eq!(
-                lsm.quarantine().quarantined(),
-                legacy.quarantine().quarantined(),
-                "[{mode:?}] both twins must quarantine the same peers"
+                net.quarantine().quarantined(),
+                oracle_net.quarantine().quarantined(),
+                "[{mode:?}] both runs must quarantine the same peers"
             );
         }
     }
@@ -254,7 +242,7 @@ fn lsm_matches_rebuilt_twin_under_corruption() {
 #[test]
 fn ingest_counters_surface_in_the_ledger() {
     let dims = 2;
-    let (mut lsm, _legacy, mut rng) = twin_nets(dims, 4, 73);
+    let (mut lsm, mut rng) = empty_net(dims, 4, 73);
     let (mut next_id, mut live) = (0u64, Vec::new());
     // Small peer count so per-store row counts cross the freeze threshold;
     // a light delete fraction so the size-triggered compactor does not fold

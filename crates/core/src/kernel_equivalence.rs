@@ -1,21 +1,26 @@
 //! Equivalence suite for the columnar block layer and its scan kernels.
 //!
-//! The block mirror is a *data layout*, not a semantics change: an executor
-//! running the blocked kernel paths ([`Executor::new`], blocks on by
-//! default) and one with the mirror disabled
-//! ([`Executor::without_blocks`], indexed views degrade to
-//! `LocalView::IndexedScalar`) must produce
+//! The block mirror is a *data layout*, not a semantics change. Every query
+//! runs three ways over one network: the indexed executor with its blocked
+//! scans forced onto the scalar kernels (`KernelDispatch::ForcedScalar`),
+//! the same with the SIMD kernels (`ForcedSimd`), and the plain-scan oracle
+//! ([`Executor::naive`], every peer scans its tuple slice as the paper's
+//! peers do). The two dispatch arms must produce
 //!
-//! 1. **identical answer streams, element for element** — the blocked top-k
-//!    τ-filter emits rows in ascending store order exactly like the scalar
-//!    filter, and the blocked constrained-skyline fold reproduces the
-//!    scalar skyline-then-thin set in canonical order;
-//! 2. **bit-identical cost ledgers** — the kernels perform the same
-//!    floating-point operations in the same order as their scalar
-//!    references, and block pruning only skips blocks that provably cannot
-//!    contribute (`QueryMetrics` equality excludes the data-plane scan
-//!    counters, which are *expected* to differ: that is the optimisation);
-//! 3. **identical coverage**, under fault planes and replica failover.
+//! 1. **identical answer streams, element for element** — the kernels
+//!    perform the same floating-point operations in the same order as
+//!    their scalar references;
+//! 2. **bit-identical cost ledgers** — block pruning only skips blocks
+//!    that provably cannot contribute (`QueryMetrics` equality excludes
+//!    the data-plane scan counters, which are *expected* to differ: that
+//!    is the optimisation);
+//! 3. **identical coverage and certificates**, under fault planes, replica
+//!    failover and the parallel engine.
+//!
+//! Against the oracle, ledgers, coverage and certificates are bit-identical
+//! too; answers are compared as id-sorted sets, because an indexed top-k
+//! walk over a cached projection emits in score order rather than store
+//! order.
 //!
 //! The checks run the `AdHoc` score wrapper (no cache key, so top-k takes
 //! the blocked kernel scan instead of the memoised projection) alongside
@@ -23,13 +28,14 @@
 //! across every mode, fault plane, and the parallel engine — and repeat
 //! under churn so generation bumps invalidate and rebuild the mirror.
 //!
-//! The Chord-side twin lives in `ripple-chord`'s `tests/kernels.rs`.
+//! The Chord-side suite lives in `ripple-chord`'s `tests/kernels.rs`.
 
 use crate::exec::Executor;
 use crate::framework::{Mode, RankQuery};
+use crate::index_equivalence::by_id;
 use crate::skyline::SkylineQuery;
 use crate::topk::TopKQuery;
-use ripple_geom::{AdHoc, LinearScore, Norm, PeakScore, Rect, Tuple};
+use ripple_geom::{AdHoc, KernelDispatch, LinearScore, Norm, PeakScore, Rect, Tuple};
 use ripple_midas::MidasNetwork;
 use ripple_net::rng::rngs::SmallRng;
 use ripple_net::rng::{Rng, SeedableRng};
@@ -61,10 +67,13 @@ fn planes() -> [FaultPlane; 2] {
     [FaultPlane::none(), FaultPlane::drops(0.15, 17)]
 }
 
-/// Runs `query` through the blocked and the block-free executor under every
-/// plane × mode (sequential and parallel) and asserts observational
-/// equality.
-fn assert_blocked_invisible<Q>(net: &MidasNetwork, query: &Q, rng: &mut SmallRng, label: &str)
+/// Runs `query` under the forced-scalar and forced-SIMD indexed executors
+/// and the plain-scan oracle across every plane × mode, sequential and
+/// parallel, and asserts observational equality (see the module docs).
+/// On hosts without a vector unit `ForcedSimd` degrades to scalar, so the
+/// dispatch comparison stays meaningful (trivially) everywhere; CI also
+/// drives both arms through the `RIPPLE_KERNEL_DISPATCH` override.
+fn assert_kernels_invisible<Q>(net: &MidasNetwork, query: &Q, rng: &mut SmallRng, label: &str)
 where
     Q: RankQuery<Rect> + Sync,
     Q::Global: Send + Sync,
@@ -73,40 +82,53 @@ where
     for plane in planes() {
         for mode in MODES {
             let initiator = net.random_peer(rng);
-            let blocked = Executor::with_faults(net, plane, 7);
-            let scalar = Executor::with_faults(net, plane, 7).without_blocks();
-            let b = blocked.run(initiator, query, mode);
+            let scalar =
+                Executor::with_faults(net, plane, 7).with_dispatch(KernelDispatch::ForcedScalar);
+            let simd =
+                Executor::with_faults(net, plane, 7).with_dispatch(KernelDispatch::ForcedSimd);
             let s = scalar.run(initiator, query, mode);
+            let v = simd.run(initiator, query, mode);
+            let o = Executor::with_faults(net, plane, 7)
+                .naive()
+                .run(initiator, query, mode);
+            let at = format!("{label} [{mode:?}, drop_p={}]", plane.drop_probability);
             assert_eq!(
-                b.metrics, s.metrics,
-                "{label} [{mode:?}, drop_p={}]: blocked and scalar ledgers must be \
-                 bit-identical (incl. the visit sequence)",
-                plane.drop_probability
+                s.metrics, v.metrics,
+                "{at}: forced-scalar and forced-simd ledgers must be bit-identical"
             );
             assert_eq!(
-                b.answers, s.answers,
-                "{label} [{mode:?}]: answer streams must be identical, element for element"
+                s.answers, v.answers,
+                "{at}: dispatch arms must emit identical answer streams"
             );
-            assert_eq!(b.coverage, s.coverage, "{label} [{mode:?}]: coverage");
+            assert_eq!(s.coverage, v.coverage, "{at}: coverage");
             assert_eq!(
-                b.certificate, s.certificate,
-                "{label} [{mode:?}]: the data layout must not leak into the certificate"
+                s.certificate, v.certificate,
+                "{at}: dispatch arms must emit bit-identical certificates \
+                 (the bound witnesses are control-plane folds, never SIMD-kernel output)"
+            );
+            assert_eq!(
+                s.metrics, o.metrics,
+                "{at}: blocked and oracle ledgers must be bit-identical (incl. the visit sequence)"
+            );
+            assert_eq!(
+                by_id(&s.answers),
+                by_id(&o.answers),
+                "{at}: oracle answer set"
+            );
+            assert_eq!(s.coverage, o.coverage, "{at}: oracle coverage");
+            assert_eq!(
+                s.certificate, o.certificate,
+                "{at}: the data layout must not leak into the certificate"
             );
             for threads in THREADS {
-                let bp = blocked.run_parallel(initiator, query, mode, threads);
-                assert_eq!(
-                    b.metrics, bp.metrics,
-                    "{label} [{mode:?}, {threads} threads]: parallel blocked ledger"
-                );
-                assert_eq!(
-                    b.answers, bp.answers,
-                    "{label} [{mode:?}, {threads} threads]: parallel blocked answers"
-                );
-                assert_eq!(b.coverage, bp.coverage, "{label} [{mode:?}]: coverage");
-                assert_eq!(
-                    b.certificate, bp.certificate,
-                    "{label} [{mode:?}, {threads} threads]: parallel blocked certificate"
-                );
+                for (arm, exec) in [("scalar", &scalar), ("simd", &simd)] {
+                    let p = exec.run_parallel(initiator, query, mode, threads);
+                    let at = format!("{at}, {arm}, {threads} threads");
+                    assert_eq!(s.metrics, p.metrics, "{at}: parallel ledger");
+                    assert_eq!(s.answers, p.answers, "{at}: parallel answers");
+                    assert_eq!(s.coverage, p.coverage, "{at}: parallel coverage");
+                    assert_eq!(s.certificate, p.certificate, "{at}: parallel certificate");
+                }
             }
         }
     }
@@ -119,16 +141,16 @@ where
 fn check_all_queries(net: &MidasNetwork, dims: usize, rng: &mut SmallRng) {
     for k in [1usize, 8, 64] {
         let q = TopKQuery::new(AdHoc(LinearScore::uniform(dims)), k);
-        assert_blocked_invisible(net, &q, rng, &format!("topk-adhoc-linear k={k}"));
+        assert_kernels_invisible(net, &q, rng, &format!("topk-adhoc-linear k={k}"));
     }
     let peak: Vec<f64> = (0..dims).map(|_| rng.gen::<f64>()).collect();
     let q = TopKQuery::new(AdHoc(PeakScore::new(peak, Norm::L2)), 8);
-    assert_blocked_invisible(net, &q, rng, "topk-adhoc-peak");
+    assert_kernels_invisible(net, &q, rng, "topk-adhoc-peak");
     let q = TopKQuery::new(LinearScore::uniform(dims), 8);
-    assert_blocked_invisible(net, &q, rng, "topk-cached-linear");
-    assert_blocked_invisible(net, &SkylineQuery::new(), rng, "skyline");
+    assert_kernels_invisible(net, &q, rng, "topk-cached-linear");
+    assert_kernels_invisible(net, &SkylineQuery::new(), rng, "skyline");
     let c = Rect::new(vec![0.15; dims], vec![0.85; dims]);
-    assert_blocked_invisible(
+    assert_kernels_invisible(
         net,
         &SkylineQuery::constrained(c),
         rng,
@@ -169,73 +191,14 @@ fn blocked_equals_scalar_under_churn() {
         }
         net.check_invariants();
         let q = TopKQuery::new(AdHoc(LinearScore::uniform(dims)), 8);
-        assert_blocked_invisible(&net, &q, &mut rng, "churn topk-adhoc");
+        assert_kernels_invisible(&net, &q, &mut rng, "churn topk-adhoc");
         let c = Rect::new(vec![0.1; dims], vec![0.9; dims]);
-        assert_blocked_invisible(
+        assert_kernels_invisible(
             &net,
             &SkylineQuery::constrained(c),
             &mut rng,
             "churn skyline-constrained",
         );
-    }
-}
-
-/// Runs `query` under a forced-scalar and a forced-SIMD executor across
-/// every plane × mode, sequential and parallel, and asserts the two
-/// dispatch arms are observationally identical: same answers element for
-/// element, bit-identical ledgers (the SIMD kernels are required to
-/// reproduce the scalar reference's floating-point results exactly), same
-/// coverage. On hosts without a vector unit `ForcedSimd` degrades to
-/// scalar, so the test stays meaningful (trivially) everywhere; CI also
-/// drives both arms through the `RIPPLE_KERNEL_DISPATCH` override.
-fn assert_dispatch_invisible<Q>(net: &MidasNetwork, query: &Q, rng: &mut SmallRng, label: &str)
-where
-    Q: RankQuery<Rect> + Sync,
-    Q::Global: Send + Sync,
-    Q::Local: Send,
-{
-    use ripple_geom::KernelDispatch;
-    for plane in planes() {
-        for mode in MODES {
-            let initiator = net.random_peer(rng);
-            let scalar_exec =
-                Executor::with_faults(net, plane, 7).with_dispatch(KernelDispatch::ForcedScalar);
-            let simd_exec =
-                Executor::with_faults(net, plane, 7).with_dispatch(KernelDispatch::ForcedSimd);
-            let s = scalar_exec.run(initiator, query, mode);
-            let v = simd_exec.run(initiator, query, mode);
-            assert_eq!(
-                s.metrics, v.metrics,
-                "{label} [{mode:?}, drop_p={}]: forced-scalar and forced-simd ledgers \
-                 must be bit-identical",
-                plane.drop_probability
-            );
-            assert_eq!(
-                s.answers, v.answers,
-                "{label} [{mode:?}]: dispatch arms must emit identical answer streams"
-            );
-            assert_eq!(s.coverage, v.coverage, "{label} [{mode:?}]: coverage");
-            assert_eq!(
-                s.certificate, v.certificate,
-                "{label} [{mode:?}]: dispatch arms must emit bit-identical certificates \
-                 (the bound witnesses are control-plane folds, never SIMD-kernel output)"
-            );
-            for threads in THREADS {
-                let vp = simd_exec.run_parallel(initiator, query, mode, threads);
-                assert_eq!(
-                    s.metrics, vp.metrics,
-                    "{label} [{mode:?}, {threads} threads]: parallel simd ledger"
-                );
-                assert_eq!(
-                    s.answers, vp.answers,
-                    "{label} [{mode:?}, {threads} threads]: parallel simd answers"
-                );
-                assert_eq!(
-                    s.certificate, vp.certificate,
-                    "{label} [{mode:?}, {threads} threads]: parallel simd certificate"
-                );
-            }
-        }
     }
 }
 
@@ -246,14 +209,14 @@ fn forced_simd_equals_forced_scalar_across_modes_and_planes() {
         let (net, mut rng) = loaded_net(dims, peers, tuples, seed);
         for k in [1usize, 8, 64] {
             let q = TopKQuery::new(AdHoc(LinearScore::uniform(dims)), k);
-            assert_dispatch_invisible(&net, &q, &mut rng, &format!("topk-adhoc-linear k={k}"));
+            assert_kernels_invisible(&net, &q, &mut rng, &format!("topk-adhoc-linear k={k}"));
         }
         let peak: Vec<f64> = (0..dims).map(|_| rng.gen::<f64>()).collect();
         let q = TopKQuery::new(AdHoc(PeakScore::new(peak, Norm::L2)), 8);
-        assert_dispatch_invisible(&net, &q, &mut rng, "topk-adhoc-peak");
-        assert_dispatch_invisible(&net, &SkylineQuery::new(), &mut rng, "skyline");
+        assert_kernels_invisible(&net, &q, &mut rng, "topk-adhoc-peak");
+        assert_kernels_invisible(&net, &SkylineQuery::new(), &mut rng, "skyline");
         let c = Rect::new(vec![0.15; dims], vec![0.85; dims]);
-        assert_dispatch_invisible(
+        assert_kernels_invisible(
             &net,
             &SkylineQuery::constrained(c),
             &mut rng,
@@ -265,7 +228,6 @@ fn forced_simd_equals_forced_scalar_across_modes_and_planes() {
 #[test]
 fn planner_runs_are_dispatch_invariant() {
     use crate::planner::{run_planned, PlanInputs, Planner, QueryHint};
-    use ripple_geom::KernelDispatch;
     let (net, mut rng) = loaded_net(4, 24, 1600, 63);
     let exec_s = Executor::new(&net).with_dispatch(KernelDispatch::ForcedScalar);
     let exec_v = Executor::new(&net).with_dispatch(KernelDispatch::ForcedSimd);
@@ -315,17 +277,14 @@ fn planner_runs_are_dispatch_invariant() {
 
 #[test]
 fn scan_counters_report_blocked_work() {
-    // Two identical networks (same build seed): one queried through the
-    // blocked executor, one through the block-free one, so the baseline's
-    // stores never hold a mirror warm enough to reuse.
-    let (net_b, mut rng) = loaded_net(2, 32, 4000, 57);
-    let (net_s, _) = loaded_net(2, 32, 4000, 57);
+    // The oracle scans plain slices and never reads the mirror, so one
+    // network serves both arms and the oracle's scan count is the full
+    // scalar effort.
+    let (net, mut rng) = loaded_net(2, 32, 4000, 57);
     let q = TopKQuery::new(AdHoc(LinearScore::new(vec![0.9, 0.1])), 4);
-    let initiator = net_b.random_peer(&mut rng);
-    let b = Executor::new(&net_b).run(initiator, &q, Mode::Fast);
-    let s = Executor::new(&net_s)
-        .without_blocks()
-        .run(initiator, &q, Mode::Fast);
+    let initiator = net.random_peer(&mut rng);
+    let b = Executor::new(&net).run(initiator, &q, Mode::Fast);
+    let s = Executor::new(&net).naive().run(initiator, &q, Mode::Fast);
     assert!(
         b.metrics.tuples_scanned > 0,
         "blocked run must report data-plane work"

@@ -17,7 +17,6 @@
 //! * [`latency`] — the worst-case latency recurrences of Lemmas 1–3.
 //! * [`range`] — range queries as the degenerate (state-free) RIPPLE
 //!   instantiation the introduction contrasts rank queries with.
-//! * [`cache`] — BRANCA/ARTO-style query-side result caching (Section 2.1).
 //! * The [`RippleOverlay`] implementation for MIDAS lives in
 //!   [`midas_impl`]; the Chord implementation lives in the `ripple-chord`
 //!   crate, demonstrating the framework's substrate-genericity.
@@ -47,7 +46,6 @@
 
 #[cfg(test)]
 mod audit_equivalence;
-pub mod cache;
 #[cfg(test)]
 mod cert_equivalence;
 pub mod diversify;

@@ -244,7 +244,7 @@ fn parallel_composes_with_naive_and_trace_off() {
     let q = TopKQuery::new(LinearScore::uniform(2), 10);
     let initiator = net.random_peer(&mut rng);
     for mode in [Mode::Fast, Mode::Broadcast] {
-        let naive = Executor::naive(&net);
+        let naive = Executor::new(&net).naive();
         assert_eq!(
             naive.run(initiator, &q, mode).metrics,
             naive.run_parallel(initiator, &q, mode, 3).metrics,

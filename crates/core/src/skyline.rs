@@ -134,15 +134,15 @@ impl RankQuery<Rect> for SkylineQuery {
     /// and scan.
     fn compute_local_state(&self, view: &LocalView<'_>, global: &Arc<FlatSkyline>) -> Vec<Tuple> {
         let survives = |t: &&Tuple| !global.dominates(t.point.coords());
-        match (view.blocked_store(), view.store(), &self.constraint) {
+        match (view.store(), &self.constraint) {
             // Already thinned by the global state (see the method docs).
-            (Some((store, dispatch)), _, Some(c)) => {
+            (Some((store, dispatch)), Some(c)) => {
                 self.blocked_constrained_state(store, dispatch, c, global)
             }
-            (_, Some(store), None) => store.with_skyline_at(view.dispatch(), |members| {
+            (Some((store, dispatch)), None) => store.with_skyline_at(dispatch, |members| {
                 members.filter(survives).cloned().collect()
             }),
-            _ => {
+            (None, _) => {
                 scan::add_scanned(view.tuples().len() as u64);
                 let inside = |t: &&Tuple| {
                     self.constraint
@@ -184,7 +184,7 @@ impl RankQuery<Rect> for SkylineQuery {
     /// Algorithm 12: the local tuples among the state. Indexed views answer
     /// the membership test from the store's cached id set.
     fn compute_local_answer(&self, view: &LocalView<'_>, local: &Vec<Tuple>) -> Vec<Tuple> {
-        if let Some(store) = view.store() {
+        if let Some((store, _)) = view.store() {
             return local
                 .iter()
                 .filter(|s| store.contains_id(s.id))

@@ -227,15 +227,12 @@ impl<F: ScoreFn> RankQuery<Rect> for TopKQuery<F> {
     /// score it runs the blocked kernel scan over the store's columnar
     /// mirror; otherwise a scalar scan + sort.
     fn compute_local_state(&self, view: &LocalView<'_>, global: &TopKState) -> TopKState {
-        if let Some(store) = view.store() {
-            if let Some(state) = store.with_ranked(&self.score, |it| {
-                self.state_from_ranked(it.map(|(_, s)| s), store.len(), global)
-            }) {
-                return state;
-            }
-        }
-        if let Some((store, dispatch)) = view.blocked_store() {
-            return self.blocked_state(store, dispatch, global);
+        if let Some((store, dispatch)) = view.store() {
+            return store
+                .with_ranked(&self.score, |it| {
+                    self.state_from_ranked(it.map(|(_, s)| s), store.len(), global)
+                })
+                .unwrap_or_else(|| self.blocked_state(store, dispatch, global));
         }
         let ranked = self.ranked(view.tuples());
         scan::add_scanned(ranked.len() as u64);
@@ -293,17 +290,14 @@ impl<F: ScoreFn> RankQuery<Rect> for TopKQuery<F> {
         if local.m == 0 {
             return Vec::new();
         }
-        if let Some(store) = view.store() {
-            if let Some(answer) = store.with_ranked(&self.score, |it| {
-                it.take_while(|(_, s)| *s >= local.tau)
-                    .map(|(t, _)| t.clone())
-                    .collect::<Vec<Tuple>>()
-            }) {
-                return answer;
-            }
-        }
-        if let Some((store, dispatch)) = view.blocked_store() {
-            return self.blocked_answer(store, dispatch, local);
+        if let Some((store, dispatch)) = view.store() {
+            return store
+                .with_ranked(&self.score, |it| {
+                    it.take_while(|(_, s)| *s >= local.tau)
+                        .map(|(t, _)| t.clone())
+                        .collect()
+                })
+                .unwrap_or_else(|| self.blocked_answer(store, dispatch, local));
         }
         scan::add_scanned(view.tuples().len() as u64);
         view.tuples()

@@ -156,32 +156,6 @@ where
     skyline(&all)
 }
 
-/// Computes the *k-skyband*: every tuple dominated by fewer than `k`
-/// others. The skyline is the 1-skyband.
-///
-/// Section 2.1 of the RIPPLE paper: "In SPEERTO each node computes its
-/// k-skyband as a pre-processing step" — the k-skyband is exactly the set
-/// of tuples that can appear in the top-k answer of *some* monotone scoring
-/// function, so a peer that precomputes it can answer any incoming top-k
-/// query from that subset alone.
-pub fn skyband(tuples: &[Tuple], k: usize) -> Vec<Tuple> {
-    assert!(k > 0, "the 0-skyband is empty by definition");
-    let mut out = Vec::new();
-    'outer: for t in tuples {
-        let mut dominated_by = 0;
-        for other in tuples {
-            if dominates(&other.point, &t.point) {
-                dominated_by += 1;
-                if dominated_by >= k {
-                    continue 'outer;
-                }
-            }
-        }
-        out.push(t.clone());
-    }
-    out
-}
-
 /// Computes the skyline of the tuples falling inside `constraint` — the
 /// *constrained* skyline query DSL was designed for (Section 2.2: the
 /// query anchors at "the region containing the lower-left corner of the
@@ -630,68 +604,6 @@ mod tests {
     }
 
     #[test]
-    fn skyband_generalizes_skyline() {
-        let data = vec![
-            t(1, &[0.1, 0.9]),
-            t(2, &[0.9, 0.1]),
-            t(3, &[0.5, 0.5]),
-            t(4, &[0.6, 0.6]),   // dominated only by 3
-            t(5, &[0.65, 0.65]), // dominated by 3 and 4
-        ];
-        let sky = skyline(&data);
-        let band1 = skyband(&data, 1);
-        let mut a: Vec<u64> = sky.iter().map(|t| t.id).collect();
-        let mut b: Vec<u64> = band1.iter().map(|t| t.id).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b, "1-skyband is the skyline");
-
-        let band2: Vec<u64> = {
-            let mut v: Vec<u64> = skyband(&data, 2).iter().map(|t| t.id).collect();
-            v.sort_unstable();
-            v
-        };
-        assert_eq!(band2, vec![1, 2, 3, 4]);
-        let band3: Vec<u64> = {
-            let mut v: Vec<u64> = skyband(&data, 3).iter().map(|t| t.id).collect();
-            v.sort_unstable();
-            v
-        };
-        assert_eq!(band3, vec![1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn skyband_contains_all_monotone_topk_answers() {
-        // SPEERTO's premise: the k-skyband suffices to answer any monotone
-        // top-k query. Check against a few weighted sums (lower = better).
-        let data: Vec<Tuple> = (0..40)
-            .map(|i| {
-                t(
-                    i,
-                    &[((i * 17) % 40) as f64 / 40.0, ((i * 29) % 40) as f64 / 40.0],
-                )
-            })
-            .collect();
-        let k = 3;
-        let band = skyband(&data, k);
-        for w in [[1.0, 1.0], [2.0, 0.5], [0.1, 3.0]] {
-            let mut scored: Vec<&Tuple> = data.iter().collect();
-            scored.sort_by(|a, b| {
-                let sa = w[0] * a.point.coord(0) + w[1] * a.point.coord(1);
-                let sb = w[0] * b.point.coord(0) + w[1] * b.point.coord(1);
-                sa.total_cmp(&sb)
-            });
-            for best in scored.iter().take(k) {
-                assert!(
-                    band.iter().any(|m| m.id == best.id),
-                    "top-{k} member {} missing from the {k}-skyband",
-                    best.id
-                );
-            }
-        }
-    }
-
-    #[test]
     fn constrained_skyline_restricts_first() {
         let data = vec![
             t(1, &[0.1, 0.1]), // global skyline, outside constraint
@@ -705,12 +617,6 @@ mod tests {
         // empty constraint region
         let empty = constrained_skyline(&data, &Rect::new(vec![0.2, 0.2], vec![0.3, 0.3]));
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "0-skyband")]
-    fn zero_skyband_rejected() {
-        let _ = skyband(&[], 0);
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod zorder;
 
 pub use diversity::{DiversityQuery, SetStats};
 pub use dominance::{
-    constrained_skyline, dominates, dominates_rect, skyband, skyline, skyline_fold, skyline_insert,
+    constrained_skyline, dominates, dominates_rect, skyline, skyline_fold, skyline_insert,
     skyline_merge, FlatSkyline,
 };
 pub use kernels::KernelDispatch;

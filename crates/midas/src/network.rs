@@ -374,14 +374,6 @@ impl MidasNetwork {
         rewritten
     }
 
-    /// Switches every live peer's store between the LSM write path and the
-    /// legacy rebuild-per-insert layout (test/bench baseline harness).
-    pub fn set_store_legacy(&mut self, legacy: bool) {
-        for id in self.live_peers().to_vec() {
-            self.peer_mut(id).store.set_legacy(legacy);
-        }
-    }
-
     /// A new peer joins at a uniformly random key; returns its id.
     pub fn join_random<R: Rng>(&mut self, rng: &mut R) -> PeerId {
         let key = Point::new((0..self.dims).map(|_| rng.gen::<f64>()).collect::<Vec<_>>());

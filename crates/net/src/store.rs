@@ -42,8 +42,9 @@
 //! (coordinate-sum, id) order with min-id duplicate representatives;
 //! ranked walks with the store-order tie-break of a stable descending
 //! sort; blocked scans bit-identical to scalar ones by the kernel
-//! contract). Equivalence is property-tested in `ripple-core`, including
-//! against a `legacy`-mode twin that rebuilds wholesale per mutation.
+//! contract). Equivalence is property-tested in `ripple-core` against the
+//! plain-scan oracle (`Executor::naive`), and here against a flat
+//! `Vec<Tuple>` model of the store.
 //!
 //! [`cache_key`]: ripple_geom::ScoreFn::cache_key
 
@@ -251,10 +252,6 @@ pub struct PeerStore {
     runs_version: u64,
     /// Next [`Run::id`] to assign (never reused).
     next_run_id: u64,
-    /// When set, freezing is disabled: the whole store stays in the
-    /// memtable and every mutation invalidates everything — the faithful
-    /// rebuild-per-insert baseline, through identical code paths.
-    legacy: bool,
     /// Eager id-multiset of the stored tuples (lock-free membership).
     id_counts: FxHashMap<TupleId, u32>,
     /// Cumulative write-path effort.
@@ -271,7 +268,6 @@ impl Clone for PeerStore {
             frozen_live: self.frozen_live,
             runs_version: self.runs_version,
             next_run_id: self.next_run_id,
-            legacy: self.legacy,
             id_counts: self.id_counts.clone(),
             ingest: self.ingest,
             cache: RwLock::new(self.cache.read().expect("peer cache poisoned").clone()),
@@ -349,9 +345,6 @@ impl PeerStore {
     /// Purely physical: no generation bump (the triggering mutation already
     /// bumped it), but the run layout moves, so `runs_version` advances.
     fn maybe_freeze(&mut self) {
-        if self.legacy {
-            return;
-        }
         while self.tuples.len() - self.frozen_live >= BLOCK_ROWS {
             let start = self.frozen_live;
             let rows = self.tuples[start..start + BLOCK_ROWS].to_vec();
@@ -379,28 +372,6 @@ impl PeerStore {
     /// order, then the memtable tail).
     pub fn tuples(&self) -> &[Tuple] {
         &self.tuples
-    }
-
-    /// Switches the rebuild-per-insert baseline mode on or off. With
-    /// `legacy` set, freezing is disabled and the whole store lives in the
-    /// memtable, so every mutation invalidates every cache — the exact
-    /// pre-LSM behaviour, through identical code paths (benchmark baseline
-    /// and equivalence-twin harnesses drive this). Turning it off freezes
-    /// any accumulated full blocks immediately.
-    pub fn set_legacy(&mut self, legacy: bool) {
-        self.legacy = legacy;
-        // Snapshot layout may change (tail cuts vs shared runs): drop it so
-        // the next query sees the current physical shape. Contents are
-        // unaffected either way.
-        self.cache.get_mut().expect("peer cache poisoned").blocks = None;
-        if !legacy {
-            self.maybe_freeze();
-        }
-    }
-
-    /// True when the rebuild-per-insert baseline mode is active.
-    pub fn is_legacy(&self) -> bool {
-        self.legacy
     }
 
     /// A point-in-time report of the write path: cumulative ingest /
@@ -734,8 +705,7 @@ impl PeerStore {
 
     /// Assembles the columnar snapshot: every live frozen run (shared,
     /// with its current tombstone mask), then the memtable tail cut into
-    /// fresh blocks. In legacy mode there are no runs, so this reproduces
-    /// the old rebuild-wholesale block geometry exactly.
+    /// fresh blocks.
     fn assemble_blocks(&self, dispatch: KernelDispatch) -> BlockSet {
         let mut entries = Vec::with_capacity(self.runs.len() + 1);
         for run in &self.runs {
@@ -1091,24 +1061,21 @@ impl<'a> Iterator for RankedMerge<'a> {
 
 /// A peer's tuples as seen by query-side code.
 ///
-/// `Plain` is the scan view every substrate supports; `Indexed` additionally
-/// exposes the store's local index layer *and* its columnar block mirror,
-/// which query implementations use as fast paths when present;
-/// `IndexedScalar` keeps the scalar index layer but withholds the blocks
-/// (the executor's `without_blocks` A/B mode). All views describe the same
-/// tuples — query results and all hop/message metrics are identical either
-/// way (only wall-clock time differs), which is what keeps the indexed
-/// simulation an honest reproduction of the paper's scan-based peers.
+/// `Plain` is the scan view every substrate supports, and the reference
+/// the paper's peers implement: query functions scan the slice. `Indexed`
+/// additionally exposes the store's local index layer and its columnar
+/// block mirror, which query implementations use as fast paths. Both views
+/// describe the same tuples — query results and all hop/message metrics
+/// are identical either way (only wall-clock time differs), which is what
+/// keeps the indexed simulation an honest reproduction of the paper's
+/// scan-based peers.
 #[derive(Clone, Copy)]
 pub enum LocalView<'a> {
     /// A bare tuple slice.
     Plain(&'a [Tuple]),
-    /// A full peer store with its caches, blocked scan paths allowed,
-    /// running the given kernel dispatch arm.
+    /// A full peer store with its caches, running its blocked scans on the
+    /// given kernel dispatch arm.
     Indexed(&'a PeerStore, KernelDispatch),
-    /// A full peer store with its caches, blocked scan paths disallowed —
-    /// query code must not call [`PeerStore::blocks`] through this view.
-    IndexedScalar(&'a PeerStore),
 }
 
 impl<'a> LocalView<'a> {
@@ -1116,34 +1083,16 @@ impl<'a> LocalView<'a> {
     pub fn tuples(&self) -> &'a [Tuple] {
         match self {
             LocalView::Plain(t) => t,
-            LocalView::Indexed(s, _) | LocalView::IndexedScalar(s) => s.tuples(),
+            LocalView::Indexed(s, _) => s.tuples(),
         }
     }
 
-    /// The store behind an indexed view (either flavour), when present.
-    pub fn store(&self) -> Option<&'a PeerStore> {
+    /// The store behind an indexed view and the kernel dispatch arm its
+    /// scans must run; `None` for a plain view.
+    pub fn store(&self) -> Option<(&'a PeerStore, KernelDispatch)> {
         match self {
             LocalView::Plain(_) => None,
-            LocalView::Indexed(s, _) | LocalView::IndexedScalar(s) => Some(s),
-        }
-    }
-
-    /// The store behind a *blocked* indexed view and the kernel dispatch
-    /// arm its scans must run — `Some` only when the columnar mirror may be
-    /// used (i.e. not downgraded to scalar).
-    pub fn blocked_store(&self) -> Option<(&'a PeerStore, KernelDispatch)> {
-        match self {
             LocalView::Indexed(s, d) => Some((s, *d)),
-            LocalView::Plain(_) | LocalView::IndexedScalar(_) => None,
-        }
-    }
-
-    /// The kernel dispatch arm of this view (`Auto` for non-blocked views,
-    /// whose scans go through the dispatch-free scalar entry points).
-    pub fn dispatch(&self) -> KernelDispatch {
-        match self {
-            LocalView::Indexed(_, d) => *d,
-            LocalView::Plain(_) | LocalView::IndexedScalar(_) => KernelDispatch::Auto,
         }
     }
 }
@@ -1414,19 +1363,12 @@ mod tests {
         let mut s = PeerStore::new();
         s.insert(t(1, 0.5));
         let plain = LocalView::Plain(s.tuples());
-        let indexed = LocalView::Indexed(&s, KernelDispatch::Auto);
-        let scalar = LocalView::IndexedScalar(&s);
+        let indexed = LocalView::Indexed(&s, KernelDispatch::ForcedSimd);
         assert_eq!(plain.tuples(), indexed.tuples());
-        assert_eq!(plain.tuples(), scalar.tuples());
         assert!(plain.store().is_none());
-        assert!(indexed.store().is_some());
-        assert!(
-            scalar.store().is_some(),
-            "scalar view keeps the index layer"
-        );
-        assert!(indexed.blocked_store().is_some());
-        assert!(scalar.blocked_store().is_none(), "blocks withheld");
-        assert!(plain.blocked_store().is_none());
+        let (store, dispatch) = indexed.store().expect("indexed view has a store");
+        assert!(std::ptr::eq(store, &s));
+        assert_eq!(dispatch, KernelDispatch::ForcedSimd);
     }
 
     /// Deterministic multi-block store: enough tuples for several blocks,
@@ -1521,20 +1463,42 @@ mod tests {
         assert_eq!(via_scalar, via_blocks, "bit-identical projections");
     }
 
-    /// The LSM store and a legacy-mode (rebuild-per-mutation) twin driven
-    /// through the identical call sequence must agree on every observable:
-    /// length, tuple sequence, skyline, ranked walks, membership,
-    /// generations.
+    /// The LSM store against a flat `Vec<Tuple>` model of it, checked after
+    /// every operation (compaction included): the tuple sequence, the
+    /// skyline, the ranked walk against a stable descending sort of the
+    /// model, membership and generation bumps. Each checkpoint also
+    /// compares against a store built fresh from the model in one batch.
     #[test]
-    fn lsm_agrees_with_legacy_twin_under_churn() {
+    fn lsm_agrees_with_model_under_churn() {
         let mut lsm = PeerStore::new();
-        let mut legacy = PeerStore::new();
-        legacy.set_legacy(true);
+        let mut model: Vec<Tuple> = Vec::new();
         let score = LinearScore::new(vec![0.9, 0.4]);
         let mut state: u64 = 0xA076_1D64_78BD_642F;
         let mut next = || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             ((state >> 33) as f64) / ((1u64 << 31) as f64)
+        };
+        let walk = |s: &PeerStore| -> Vec<(u64, u64)> {
+            s.with_ranked(&score, |it| it.map(|(t, s)| (t.id, s.to_bits())).collect())
+                .unwrap()
+        };
+        let check = |lsm: &PeerStore, model: &[Tuple], what: &str| {
+            assert_eq!(lsm.len(), model.len(), "{what}");
+            assert_eq!(lsm.tuples(), model, "{what}: tuple order");
+            assert_eq!(lsm.skyline(), dominance::skyline(model), "{what}: skyline");
+            let mut ranked: Vec<(u64, f64)> = model
+                .iter()
+                .map(|t| (t.id, score.score(&t.point)))
+                .collect();
+            ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
+            let ranked: Vec<(u64, u64)> = ranked.iter().map(|&(id, s)| (id, s.to_bits())).collect();
+            assert_eq!(walk(lsm), ranked, "{what}: ranked walk");
+            assert!(model.iter().all(|t| lsm.contains_id(t.id)), "{what}");
+            let mut fresh = PeerStore::new();
+            fresh.insert_batch(model.to_vec());
+            assert_eq!(lsm.tuples(), fresh.tuples(), "{what}: fresh store");
+            assert_eq!(lsm.skyline(), fresh.skyline(), "{what}: fresh skyline");
+            assert_eq!(walk(lsm), walk(&fresh), "{what}: fresh ranked walk");
         };
         let mut id = 0u64;
         for round in 0..12 {
@@ -1544,34 +1508,40 @@ mod tests {
                     Tuple::new(id - 1, vec![next(), next()])
                 })
                 .collect();
-            lsm.insert_batch(batch.clone());
-            legacy.insert_batch(batch);
+            let gen = lsm.generation();
+            model.extend(batch.iter().cloned());
+            lsm.insert_batch(batch);
+            assert_eq!(
+                lsm.generation(),
+                gen + 1,
+                "round {round}: one bump per batch"
+            );
+            check(&lsm, &model, &format!("round {round} insert"));
             if round % 3 == 2 {
                 let doomed: Vec<u64> = (0..id).filter(|i| i % 7 == round % 7).collect();
+                let before = model.len();
+                model.retain(|t| !doomed.contains(&t.id));
+                let gen = lsm.generation();
+                assert_eq!(lsm.delete_batch(doomed), before - model.len());
                 assert_eq!(
-                    lsm.delete_batch(doomed.clone()),
-                    legacy.delete_batch(doomed)
+                    lsm.generation(),
+                    gen + 1,
+                    "round {round}: one bump per delete"
                 );
+                check(&lsm, &model, &format!("round {round} delete"));
             }
             if round % 4 == 3 {
+                let gen = lsm.generation();
                 lsm.compact();
-                assert_eq!(legacy.compact(), 0, "legacy twin has no runs");
+                assert_eq!(
+                    lsm.generation(),
+                    gen,
+                    "round {round}: compaction never bumps"
+                );
+                check(&lsm, &model, &format!("round {round} compact"));
             }
-            assert_eq!(lsm.len(), legacy.len(), "round {round}");
-            assert_eq!(lsm.generation(), legacy.generation(), "round {round}");
-            assert_eq!(lsm.tuples(), legacy.tuples(), "round {round}");
-            assert_eq!(lsm.skyline(), legacy.skyline(), "round {round}");
-            let walk = |s: &PeerStore| -> Vec<(u64, u64)> {
-                s.with_ranked(&score, |it| it.map(|(t, s)| (t.id, s.to_bits())).collect())
-                    .unwrap()
-            };
-            assert_eq!(walk(&lsm), walk(&legacy), "round {round}");
         }
-        assert!(lsm.ingest_stats().runs > 0, "the LSM twin actually froze");
-        assert!(
-            legacy.ingest_stats().runs == 0 && legacy.ingest_stats().rows_frozen == 0,
-            "the legacy twin never froze"
-        );
+        assert!(lsm.ingest_stats().runs > 0, "the LSM store actually froze");
     }
 
     /// Compaction is a logical no-op: same tuples, same generation, same
@@ -1624,10 +1594,9 @@ mod tests {
         assert_eq!(stats.memtable_rows, 0);
         assert_eq!(stats.rows_rewritten(), 1024);
         assert!((stats.write_amplification() - 2.0).abs() < 1e-12);
-        // A legacy store never rewrites: WA stays exactly 1.
+        // A store that never fills a block never rewrites: WA stays 1.
         let mut l = PeerStore::new();
-        l.set_legacy(true);
-        l.insert_batch((0..1024u64).map(|i| t(i, (i as f64 * 0.617) % 1.0)));
+        l.insert_batch((0..BLOCK_ROWS as u64 - 1).map(|i| t(i, (i as f64 * 0.617) % 1.0)));
         assert!((l.ingest_stats().write_amplification() - 1.0).abs() < 1e-12);
     }
 

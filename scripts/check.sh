@@ -50,9 +50,11 @@ cargo run --release --offline -p ripple-bench --bin parallel_exec_bench -- --smo
 
 echo "== kernel smoke (blocked == scalar cross-check + pruning, no timing gate) =="
 # The equivalence suites prove the columnar block layer is observationally
-# invisible (bit-identical ledgers, answers and coverage across mode x
-# query x fault plane x thread count on both substrates); the quick bench
-# cross-checks twin networks end to end and verifies blocks get pruned.
+# invisible: forced-scalar and forced-SIMD runs agree bit for bit, and both
+# match the plain-scan oracle (Executor::naive) in ledgers, answers,
+# coverage and certificates across mode x query x fault plane x thread
+# count on both substrates; the quick bench cross-checks the blocked
+# executor against the oracle end to end and verifies blocks get pruned.
 cargo test --release --offline -p ripple-core kernel_equivalence -- --quiet
 cargo test --release --offline -p ripple-chord --test kernels -- --quiet
 cargo run --release --offline -p ripple-bench --bin kernel_bench -- --quick
@@ -130,13 +132,15 @@ cargo test --release --offline -p ripple-chord --test serving -- --quiet
 cargo test --release --offline -p ripple-serve -- --quiet
 cargo run --release --offline -p ripple-bench --bin serving_bench -- --smoke
 
-echo "== ingest smoke (LSM write path == rebuild-per-insert, compaction invisibility) =="
-# The equivalence suites drive twin overlays (LSM vs legacy rebuild
-# layout) through interleaved insert -> query -> compact -> delete
-# schedules and require bit-identical answers, ledgers and certificates
-# on both substrates; the quick bench adds a store-level lockstep walk
-# and a smaller-preload throughput floor (the 100x sustained-ingest gate
-# runs only in the full bench — timing gates are flaky at smoke scale).
+echo "== ingest smoke (LSM write path == plain-scan oracle, compaction invisibility) =="
+# The equivalence suites drive one overlay per substrate through
+# interleaved insert -> query -> compact -> delete schedules and require
+# the LSM stores to match the plain-scan oracle (Executor::naive) on the
+# same overlay: bit-identical ledgers and certificates, the same answers;
+# the quick bench adds a store-level lockstep walk against a Vec<Tuple>
+# model and a smaller-preload throughput floor over the rescore-and-sort
+# baseline (the 100x sustained-ingest gate runs only in the full bench —
+# timing gates are flaky at smoke scale).
 cargo test --release --offline -p ripple-core ingest_equivalence -- --quiet
 cargo test --release --offline -p ripple-chord --test ingest -- --quiet
 cargo run --release --offline -p ripple-bench --bin ingest_bench -- --quick

@@ -16,8 +16,6 @@
 //! | [`baton`] | `ripple-baton` | the BATON tree DHT + the SSP skyline baseline |
 //! | [`chord`] | `ripple-chord` | a Chord ring with a RIPPLE adapter (genericity demo) |
 //! | [`core`] | `ripple-core` | the RIPPLE framework itself: `fast`/`slow`/`ripple(r)` templates and the top-k, skyline and k-diversification instantiations |
-//! | [`vertical`] | `ripple-vertical` | the vertically-distributed top-k baselines of Section 2.1 (FA, TA, TPUT, KLEE) |
-//! | [`superpeer`] | `ripple-superpeer` | SPEERTO-style super-peer top-k over precomputed k-skybands (Section 2.1) |
 //!
 //! ## Quickstart
 //!
@@ -60,5 +58,3 @@ pub use ripple_data as data;
 pub use ripple_geom as geom;
 pub use ripple_midas as midas;
 pub use ripple_net as net;
-pub use ripple_superpeer as superpeer;
-pub use ripple_vertical as vertical;
