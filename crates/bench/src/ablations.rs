@@ -25,7 +25,7 @@ use ripple_geom::{Norm, PeakScore, Tuple};
 use ripple_midas::{MidasNetwork, SplitRule};
 use ripple_net::rng::rngs::SmallRng;
 use ripple_net::rng::SeedableRng;
-use ripple_net::{PointSummary, QueryMetrics};
+use ripple_net::{PointSummary, QueryMetrics, Substrate};
 
 fn sky_series_point(net: &MidasNetwork, mode: Mode, seeds: &[u64]) -> PointSummary {
     parallel_queries(seeds, |qseed| {

@@ -26,7 +26,7 @@ use ripple_geom::{DiversityQuery, Norm, PeakScore, Point, Rect, ScoreFn, Tuple};
 use ripple_midas::MidasNetwork;
 use ripple_net::rng::rngs::SmallRng;
 use ripple_net::rng::{Rng, SeedableRng};
-use ripple_net::{Distribution, QueryMetrics};
+use ripple_net::{Distribution, QueryMetrics, Substrate};
 
 struct Args(Vec<String>);
 

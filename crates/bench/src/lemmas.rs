@@ -14,6 +14,7 @@ use ripple_geom::LinearScore;
 use ripple_midas::MidasNetwork;
 use ripple_net::rng::rngs::SmallRng;
 use ripple_net::rng::SeedableRng;
+use ripple_net::Substrate;
 use std::fmt::Write as _;
 
 /// Renders the analytic worst-case table for depths `Δ ∈ [4, 17]`.

@@ -6,7 +6,7 @@ use ripple_geom::Tuple;
 use ripple_midas::MidasNetwork;
 use ripple_net::rng::rngs::SmallRng;
 use ripple_net::rng::SeedableRng;
-use ripple_net::{MetricsAggregator, PointSummary, QueryMetrics};
+use ripple_net::{MetricsAggregator, PointSummary, QueryMetrics, Substrate};
 
 /// Builds a MIDAS overlay of `n` peers loaded with `data`.
 ///

@@ -18,7 +18,7 @@ use ripple_geom::kdspace::BitPath;
 use ripple_geom::{Norm, Point, Rect, Tuple};
 use ripple_net::rng::Rng;
 use ripple_net::{ChurnOverlay, PeerId, PeerStore};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A CAN peer: a rectangular zone plus its adjacency set.
 #[derive(Clone, Debug)]
@@ -30,7 +30,7 @@ pub struct CanPeer {
     /// The zone.
     pub zone: Rect,
     /// Face-adjacent peers (symmetric).
-    pub neighbors: HashSet<PeerId>,
+    pub neighbors: BTreeSet<PeerId>,
     /// Locally stored tuples.
     pub store: PeerStore,
     live_idx: usize,
@@ -55,7 +55,7 @@ impl CanNetwork {
             id,
             path: BitPath::root(),
             zone: Rect::unit(dims),
-            neighbors: HashSet::new(),
+            neighbors: BTreeSet::new(),
             store: PeerStore::new(),
             live_idx: 0,
         };
@@ -211,7 +211,7 @@ impl CanNetwork {
 
         // Re-split the old adjacency between the halves.
         let ex_neighbors: Vec<PeerId> = self.peer(old_id).neighbors.iter().copied().collect();
-        let mut new_neighbors = HashSet::new();
+        let mut new_neighbors = BTreeSet::new();
         for x in ex_neighbors {
             let xz = self.peer(x).zone.clone();
             let keeps_old = xz.abuts(&old_zone);
@@ -247,7 +247,7 @@ impl CanNetwork {
 
     /// Rebuilds `keeper`'s adjacency after it absorbed `gone`'s zone.
     fn merge_adjacency(&mut self, keeper: PeerId, gone: PeerId) {
-        let union: HashSet<PeerId> = self
+        let union: BTreeSet<PeerId> = self
             .peer(keeper)
             .neighbors
             .iter()

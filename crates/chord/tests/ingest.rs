@@ -14,7 +14,7 @@ use ripple_core::Executor;
 use ripple_geom::{AdHoc, LinearScore, Tuple};
 use ripple_net::rng::rngs::SmallRng;
 use ripple_net::rng::{Rng, SeedableRng};
-use ripple_net::FaultPlane;
+use ripple_net::{FaultPlane, Substrate};
 
 const MODES: [Mode; 4] = [Mode::Fast, Mode::Broadcast, Mode::Ripple(2), Mode::Slow];
 

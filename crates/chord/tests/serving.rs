@@ -11,6 +11,7 @@ use ripple_core::service::{QueryService, ServiceConfig, ServiceError, ServiceQue
 use ripple_geom::{LinearScore, Rect, Tuple};
 use ripple_net::rng::rngs::SmallRng;
 use ripple_net::rng::{Rng, SeedableRng};
+use ripple_net::Substrate;
 use ripple_verify::{verify_coverage, verify_topk};
 
 const MODES: [Mode; 4] = [Mode::Fast, Mode::Slow, Mode::Ripple(2), Mode::Broadcast];

@@ -30,7 +30,7 @@ use ripple_geom::{DiversityQuery, LinearScore, Norm, PeakScore, Rect, Tuple};
 use ripple_midas::MidasNetwork;
 use ripple_net::rng::rngs::SmallRng;
 use ripple_net::rng::{Rng, SeedableRng};
-use ripple_net::FaultPlane;
+use ripple_net::{FaultPlane, Substrate};
 use ripple_verify::{
     verify_coverage, verify_diversify, verify_range, verify_skyline, verify_tiling, verify_topk,
 };

@@ -8,7 +8,7 @@ use crate::latency::{fast_worst_case, ripple_worst_case, slow_worst_case};
 use crate::topk::TopKQuery;
 use ripple_geom::{LinearScore, Point, Tuple};
 use ripple_midas::MidasNetwork;
-use ripple_net::PeerId;
+use ripple_net::{PeerId, Substrate};
 
 /// A perfectly balanced MIDAS overlay of `2^depth` peers over a 1-d
 /// domain: every leaf at exactly `depth`, every sibling subtree full.

@@ -28,7 +28,7 @@ use ripple_geom::{LinearScore, Norm, PeakScore, Rect, ScoreFn, Tuple};
 use ripple_midas::MidasNetwork;
 use ripple_net::rng::rngs::SmallRng;
 use ripple_net::rng::{Rng, SeedableRng};
-use ripple_net::FaultPlane;
+use ripple_net::{FaultPlane, Substrate};
 
 const MODES: [Mode; 4] = [Mode::Fast, Mode::Slow, Mode::Ripple(2), Mode::Broadcast];
 

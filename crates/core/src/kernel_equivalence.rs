@@ -39,7 +39,7 @@ use ripple_geom::{AdHoc, KernelDispatch, LinearScore, Norm, PeakScore, Rect, Tup
 use ripple_midas::MidasNetwork;
 use ripple_net::rng::rngs::SmallRng;
 use ripple_net::rng::{Rng, SeedableRng};
-use ripple_net::FaultPlane;
+use ripple_net::{FaultPlane, Substrate};
 
 const MODES: [Mode; 5] = [
     Mode::Fast,

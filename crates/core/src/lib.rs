@@ -29,6 +29,7 @@
 //! use ripple_core::topk::run_topk;
 //! use ripple_geom::{LinearScore, Tuple};
 //! use ripple_midas::MidasNetwork;
+//! use ripple_net::Substrate;
 //!
 //! let mut rng = ripple_net::rng::rngs::SmallRng::seed_from_u64(1);
 //! let mut net = MidasNetwork::build(2, 64, false, &mut rng);

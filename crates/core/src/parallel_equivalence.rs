@@ -26,7 +26,7 @@ use ripple_geom::{LinearScore, Norm, PeakScore, Rect, Tuple};
 use ripple_midas::MidasNetwork;
 use ripple_net::rng::rngs::SmallRng;
 use ripple_net::rng::{Rng, SeedableRng};
-use ripple_net::FaultPlane;
+use ripple_net::{FaultPlane, Substrate};
 
 const MODES: [Mode; 5] = [
     Mode::Fast,

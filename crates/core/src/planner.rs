@@ -532,6 +532,7 @@ mod tests {
     use ripple_midas::MidasNetwork;
     use ripple_net::rng::rngs::SmallRng;
     use ripple_net::rng::{Rng, SeedableRng};
+    use ripple_net::Substrate;
 
     fn inputs(peers: usize, delta: u32) -> PlanInputs {
         PlanInputs {

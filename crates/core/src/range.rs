@@ -109,6 +109,7 @@ mod tests {
     use ripple_midas::MidasNetwork;
     use ripple_net::rng::rngs::SmallRng;
     use ripple_net::rng::{Rng, SeedableRng};
+    use ripple_net::Substrate;
 
     #[test]
     fn range_returns_exactly_the_contained_tuples() {

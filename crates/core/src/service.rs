@@ -36,8 +36,9 @@
 //! [`served_generation`]: QueryMetrics::served_generation
 
 use crate::exec::Executor;
-use crate::framework::{Coverage, Mode, RippleOverlay};
-use ripple_geom::{Norm, Rect, ScoreFn, Tuple};
+use crate::framework::{Coverage, Mode, RankQuery, RippleOverlay};
+use crate::topk::{run_topk_certified_par, TopKQuery, TopKState};
+use ripple_geom::{LinearScore, Norm, PeakScore, Rect, ScoreFn, Tuple};
 use ripple_net::{PeerId, QueryMetrics};
 use ripple_verify::Certificate;
 use std::collections::hash_map::DefaultHasher;
@@ -141,6 +142,41 @@ pub trait Servable: RippleOverlay + Sync + Sized {
         mode: Mode,
         threads: usize,
     ) -> Served;
+}
+
+/// The [`ServiceQuery::TopK`] arm of [`Servable::serve`], for every
+/// substrate with a top-k instantiation over its regions: runs the
+/// certified top-k under the wire-form score.
+pub fn serve_topk<O>(
+    exec: &Executor<'_, O>,
+    initiator: PeerId,
+    score: &ServiceScore,
+    k: usize,
+    mode: Mode,
+    threads: usize,
+) -> Served
+where
+    O: RippleOverlay + Sync,
+    O::Region: Send,
+    TopKQuery<LinearScore>: RankQuery<O::Region, Global = TopKState, Local = TopKState>,
+    TopKQuery<PeakScore>: RankQuery<O::Region, Global = TopKState, Local = TopKState>,
+{
+    let (answers, metrics, coverage, certificate) = match score {
+        ServiceScore::Linear(w) => {
+            let score = LinearScore::new(w.clone());
+            run_topk_certified_par(exec, initiator, score, k, mode, threads)
+        }
+        ServiceScore::Peak(p, norm) => {
+            let score = PeakScore::new(p.clone(), *norm);
+            run_topk_certified_par(exec, initiator, score, k, mode, threads)
+        }
+    };
+    Served {
+        answers,
+        metrics,
+        coverage,
+        certificate,
+    }
 }
 
 /// Why the service declined or abandoned a query.
@@ -758,6 +794,7 @@ mod tests {
     use ripple_midas::MidasNetwork;
     use ripple_net::rng::rngs::SmallRng;
     use ripple_net::rng::{Rng, SeedableRng};
+    use ripple_net::Substrate;
     use ripple_verify::verify_topk;
 
     fn loaded_net(dims: usize, peers: usize, tuples: u64, seed: u64) -> (MidasNetwork, SmallRng) {

@@ -33,7 +33,7 @@ use ripple_geom::{LinearScore, Norm, PeakScore, Rect, Tuple};
 use ripple_midas::MidasNetwork;
 use ripple_net::rng::rngs::SmallRng;
 use ripple_net::rng::{Rng, SeedableRng};
-use ripple_net::PeerId;
+use ripple_net::{PeerId, Substrate};
 use ripple_verify::{verify_coverage, verify_skyline, verify_topk, Certificate};
 use std::collections::HashSet;
 

@@ -9,6 +9,7 @@ use ripple_geom::{DiversityQuery, LinearScore, Norm, PeakScore, Point, ScoreFn, 
 use ripple_midas::MidasNetwork;
 use ripple_net::rng::rngs::SmallRng;
 use ripple_net::rng::{Rng, SeedableRng};
+use ripple_net::Substrate;
 
 fn build(dims: usize, peers: usize, tuples: usize, seed: u64) -> (MidasNetwork, Vec<Tuple>) {
     let mut rng = SmallRng::seed_from_u64(seed);

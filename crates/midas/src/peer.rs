@@ -78,6 +78,16 @@ impl MidasPeer {
     }
 }
 
+impl ripple_net::TablePeer for MidasPeer {
+    fn store(&self) -> &PeerStore {
+        &self.store
+    }
+
+    fn store_mut(&mut self) -> &mut PeerStore {
+        &mut self.store
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,7 +6,7 @@ use ripple_geom::{Point, Tuple};
 use ripple_midas::{MidasNetwork, SplitRule};
 use ripple_net::rng::rngs::SmallRng;
 use ripple_net::rng::{Rng, SeedableRng};
-use ripple_net::Distribution;
+use ripple_net::{Distribution, Substrate};
 
 fn rng(seed: u64) -> SmallRng {
     SmallRng::seed_from_u64(seed)

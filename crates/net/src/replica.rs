@@ -1,18 +1,19 @@
 //! Replica-backed durability: k read-only copies of every peer's tuples.
 //!
-//! PR 2's fault plane made data loss *visible* (honest [`Coverage`] on query
+//! The fault plane makes data loss *visible* (honest [`Coverage`] on query
 //! outcomes); this layer makes it *recoverable*. The placement rule follows
 //! directly from RIPPLE's region contract (Section 3.1): a peer's
 //! responsibility region is exactly what its overlay neighbours must be able
-//! to answer for it when it dies, so each substrate re-uses its own link
-//! structure as the replica topology — successor lists in Chord,
-//! sibling/buddy boxes in MIDAS (and their CAN / BATON analogues). The
-//! amount of redundancy is bounded by `k`, in the spirit of Akbarinia
-//! et al.'s budgeted redundancy for distributed top-k, and the
-//! constant-degree fault tolerance of the Rainbow Skip Graph.
+//! to answer for it when it dies, so each replicated substrate re-uses its
+//! own link structure as the replica topology — successor lists in Chord,
+//! sibling/buddy boxes in MIDAS. The amount of redundancy is bounded by
+//! `k`, in the spirit of Akbarinia et al.'s budgeted redundancy for
+//! distributed top-k, and the constant-degree fault tolerance of the
+//! Rainbow Skip Graph.
 //!
-//! The set is deliberately a *simulation-level* ledger: it lives next to the
-//! overlay's peer table (one `ReplicaSet` per network), keyed by **owner**,
+//! The set is deliberately a *simulation-level* ledger: it lives in the
+//! overlay's [`PeerTable`](crate::table::PeerTable), which also runs the
+//! anti-entropy and promotion policy over it; it is keyed by **owner**,
 //! with each entry remembering the owner's [`PeerStore`] generation at
 //! capture time and the live peers currently holding the copy. Queries never
 //! mutate it — the executor only *reads* replicas when a failover target

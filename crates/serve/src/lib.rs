@@ -26,6 +26,7 @@ use ripple_geom::{Norm, Rect, Tuple};
 use ripple_midas::MidasNetwork;
 use ripple_net::rng::rngs::SmallRng;
 use ripple_net::rng::{Rng, SeedableRng};
+use ripple_net::Substrate;
 
 /// One serving session: a seeded MIDAS overlay behind a [`QueryService`],
 /// speaking the line protocol.

@@ -18,6 +18,7 @@ use ripple::midas::MidasNetwork;
 use ripple::net::churn::{run_stage, ChurnStage};
 use ripple_net::rng::rngs::SmallRng;
 use ripple_net::rng::{Rng, SeedableRng};
+use ripple_net::Substrate;
 
 fn main() {
     let mut rng = SmallRng::seed_from_u64(131_072);

@@ -18,6 +18,7 @@ use ripple::geom::{DiversityQuery, Norm};
 use ripple::midas::MidasNetwork;
 use ripple_net::rng::rngs::SmallRng;
 use ripple_net::rng::{Rng, SeedableRng};
+use ripple_net::Substrate;
 
 fn main() {
     let mut rng = SmallRng::seed_from_u64(2014);

@@ -13,6 +13,7 @@ use ripple::geom::{DiversityQuery, Norm, PeakScore, Tuple};
 use ripple::midas::MidasNetwork;
 use ripple_net::rng::rngs::SmallRng;
 use ripple_net::rng::{Rng, SeedableRng};
+use ripple_net::Substrate;
 
 fn main() {
     let mut rng = SmallRng::seed_from_u64(7);

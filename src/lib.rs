@@ -10,7 +10,7 @@
 //! |---|---|---|
 //! | [`geom`] | `ripple-geom` | points, boxes, norms, scoring (`f`/`f⁺`), dominance & skylines, the diversification objective (`f`, `φ`, `φ⁻`), Z-order curve, k-d bit paths |
 //! | [`data`] | `ripple-data` | SYNTH / NBA-like / MIRFLICKR-like dataset generators and query workloads |
-//! | [`net`] | `ripple-net` | peer ids, metric ledgers (latency/congestion), tuple stores, churn driver |
+//! | [`net`] | `ripple-net` | peer ids, metric ledgers (latency/congestion), tuple stores, the peer table (write path, replica ledger, maintenance counters), churn driver |
 //! | [`midas`] | `ripple-midas` | the MIDAS virtual-k-d-tree DHT (RIPPLE's showcase substrate) |
 //! | [`can`] | `ripple-can` | the CAN DHT + the DSL skyline and flooding-diversification baselines |
 //! | [`baton`] | `ripple-baton` | the BATON tree DHT + the SSP skyline baseline |
@@ -25,6 +25,7 @@
 //! use ripple::core::skyline::{centralized_skyline, run_skyline};
 //! use ripple::geom::Tuple;
 //! use ripple::midas::MidasNetwork;
+//! use ripple::net::Substrate;
 //!
 //! // Build a 256-peer MIDAS overlay over a 2-d domain and load data.
 //! let mut rng = ripple_net::rng::rngs::SmallRng::seed_from_u64(42);

@@ -12,6 +12,7 @@ use ripple::geom::{
 use ripple::midas::MidasNetwork;
 use ripple_net::rng::rngs::SmallRng;
 use ripple_net::rng::{Rng, SeedableRng};
+use ripple_net::Substrate;
 
 /// Coordinate on the 1/1000 grid (mirrors the historical proptest strategy).
 fn coord(rng: &mut SmallRng) -> f64 {
